@@ -4,9 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use regcluster_core::{
-    mine, mine_engine, mine_parallel, EngineConfig, MiningParams, SplitStrategy,
-};
+use regcluster_bench::mine_static_roots;
+use regcluster_core::{mine, MineRequest, Miner, MiningParams, NoopObserver};
 use regcluster_datagen::{generate, running_example, SyntheticConfig};
 
 fn bench_running_example(c: &mut Criterion) {
@@ -36,13 +35,13 @@ fn bench_synthetic(c: &mut Criterion) {
 }
 
 /// Thread-scaling ablation on a Figure-7-scale workload, one benchmark per
-/// (split strategy × thread count) point:
+/// (split × thread count) point, each timed from the model build:
 ///
 /// * `stealing/N` — the work-stealing engine, which re-balances subtrees
 ///   spilled from busy workers at any enumeration depth;
-/// * `static/N` — `SplitStrategy::StaticRoots`, reproducing the old
-///   `mine_parallel` behaviour of distributing only root subtrees, whose
-///   speedup is bounded by the largest root subtree.
+/// * `static/N` — the old static root split, emulated by
+///   [`mine_static_roots`]: workers take whole root subtrees, so speedup is
+///   bounded by the largest one.
 fn bench_thread_scaling(c: &mut Criterion) {
     let cfg = SyntheticConfig {
         n_genes: 3000,
@@ -50,25 +49,23 @@ fn bench_thread_scaling(c: &mut Criterion) {
     };
     let data = generate(&cfg).expect("feasible");
     let params = MiningParams::new(30, 6, 0.1, 0.01).expect("valid");
-    let mut group = c.benchmark_group("mine_parallel_3000");
+    let mut group = c.benchmark_group("thread_scaling_3000");
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        for (label, split) in [
-            ("stealing", SplitStrategy::WorkStealing),
-            ("static", SplitStrategy::StaticRoots),
-        ] {
-            let config = EngineConfig::new(threads).with_split(split);
-            group.bench_with_input(BenchmarkId::new(label, threads), &config, |b, config| {
-                b.iter(|| {
-                    black_box(mine_engine(&data.matrix, &params, config).expect("mining succeeds"))
-                });
+        group.bench_with_input(BenchmarkId::new("stealing", threads), &threads, |b, &n| {
+            b.iter(|| {
+                let miner = Miner::new(&data.matrix, &params).expect("valid");
+                let request = MineRequest::new(&miner).threads(n);
+                black_box(request.collect().expect("mining succeeds"))
             });
-        }
+        });
+        group.bench_with_input(BenchmarkId::new("static", threads), &threads, |b, &n| {
+            b.iter(|| {
+                let miner = Miner::new(&data.matrix, &params).expect("valid");
+                black_box(mine_static_roots(&miner, &params, &vec![NoopObserver; n]))
+            });
+        });
     }
-    // The public façade, for continuity with pre-engine measurements.
-    group.bench_function("mine_parallel_facade/4", |b| {
-        b.iter(|| black_box(mine_parallel(&data.matrix, &params, 4).expect("mining succeeds")));
-    });
     group.finish();
 }
 

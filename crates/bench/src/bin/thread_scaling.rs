@@ -1,5 +1,5 @@
 //! Thread-scaling ablation of the work-stealing mining engine against the
-//! old static root split.
+//! old static root split, which [`mine_static_roots`] emulates.
 //!
 //! Two workloads:
 //!
@@ -17,33 +17,26 @@
 //! everything. Results go to `results/thread_scaling.json`.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 
-use regcluster_bench::{quick_mode, time, write_json};
-use regcluster_core::{
-    mine_engine_with, EngineConfig, MineControl, MiningParams, SplitStrategy, SyncMineObserver,
-};
+use regcluster_bench::{mine_static_roots, quick_mode, time, write_json};
+use regcluster_core::{MineRequest, Miner, MiningParams, SyncMineObserver};
 use regcluster_datagen::{generate, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
 use serde::Serialize;
 
-/// Counts enumeration nodes per worker thread.
+/// Counts enumeration nodes per engine worker thread.
 #[derive(Default)]
 struct PerWorkerNodes {
     counts: Mutex<HashMap<ThreadId, usize>>,
 }
 
 impl PerWorkerNodes {
-    fn shares(&self) -> Vec<f64> {
+    fn counts(&self) -> Vec<usize> {
         let counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
-        let total: usize = counts.values().sum();
-        let mut shares: Vec<f64> = counts
-            .values()
-            .map(|&n| n as f64 / total.max(1) as f64)
-            .collect();
-        shares.sort_by(|a, b| b.total_cmp(a));
-        shares
+        counts.values().copied().collect()
     }
 }
 
@@ -56,6 +49,23 @@ impl SyncMineObserver for PerWorkerNodes {
             .entry(std::thread::current().id())
             .or_insert(0) += 1;
     }
+}
+
+/// Counts the enumeration nodes of one static-split worker.
+#[derive(Default)]
+struct NodeCount(AtomicUsize);
+
+impl SyncMineObserver for NodeCount {
+    fn node_entered(&self, _chain: &[usize], _n_p: usize, _n_n: usize) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The busiest worker's fraction of all nodes.
+fn max_share(counts: &[usize]) -> f64 {
+    let total: usize = counts.iter().sum();
+    let busiest = counts.iter().copied().max().unwrap_or(total);
+    busiest as f64 / total.max(1) as f64
 }
 
 #[derive(Serialize)]
@@ -81,31 +91,45 @@ fn run_point(
     workload: &'static str,
     m: &ExpressionMatrix,
     params: &MiningParams,
-    strategy: (&'static str, SplitStrategy),
+    strategy: &'static str,
     threads: usize,
     reps: usize,
 ) -> Point {
-    let config = EngineConfig::new(threads).with_split(strategy.1);
     let mut total = 0.0;
     let mut n_clusters = 0;
-    let mut max_share = 0.0f64;
+    let mut busiest = 0.0f64;
     for _ in 0..reps {
-        let observer = PerWorkerNodes::default();
-        let (report, secs) = time(|| {
-            mine_engine_with(m, params, &config, &MineControl::new(), &observer)
-                .expect("mining succeeds")
+        // Timed from the model build, as a `mine` run is.
+        let ((clusters, counts), secs) = time(|| {
+            let miner = Miner::new(m, params).expect("valid params");
+            if strategy == "stealing" {
+                let observer = PerWorkerNodes::default();
+                let request = MineRequest::new(&miner)
+                    .threads(threads)
+                    .observer(&observer);
+                let (report, _) = request.collect().expect("mining succeeds");
+                (report.clusters, observer.counts())
+            } else {
+                let workers: Vec<NodeCount> = (0..threads).map(|_| NodeCount::default()).collect();
+                let clusters = mine_static_roots(&miner, params, &workers);
+                let counts = workers
+                    .iter()
+                    .map(|w| w.0.load(Ordering::Relaxed))
+                    .collect();
+                (clusters, counts)
+            }
         });
         total += secs;
-        n_clusters = report.clusters.len();
-        max_share = max_share.max(observer.shares().first().copied().unwrap_or(1.0));
+        n_clusters = clusters.len();
+        busiest = busiest.max(max_share(&counts));
     }
     Point {
         workload,
-        strategy: strategy.0,
+        strategy,
         threads,
         runtime_s: total / reps as f64,
         n_clusters,
-        max_worker_share: max_share,
+        max_worker_share: busiest,
     }
 }
 
@@ -126,10 +150,7 @@ fn sweep(
         "strategy", "threads", "runtime (s)", "clusters", "max node share"
     );
     for threads in [1usize, 2, 4, 8] {
-        for strategy in [
-            ("stealing", SplitStrategy::WorkStealing),
-            ("static", SplitStrategy::StaticRoots),
-        ] {
+        for strategy in ["stealing", "static"] {
             let p = run_point(workload, m, params, strategy, threads, reps);
             println!(
                 "{:>9}  {:>7}  {:>11.3}  {:>8}  {:>15.3}",

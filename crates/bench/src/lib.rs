@@ -10,8 +10,13 @@
 pub mod plot;
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use regcluster_core::{
+    finalize_clusters, mine_prepared_roots_to_sink, EngineConfig, MineControl, Miner, MiningParams,
+    RegCluster, SyncMineObserver, VecSink,
+};
 use serde::Serialize;
 
 /// One point of a runtime series (a Figure 7 panel).
@@ -23,6 +28,50 @@ pub struct SeriesPoint {
     pub runtime_s: f64,
     /// Clusters found at this point (last repetition).
     pub n_clusters: usize,
+}
+
+/// Mines every root of `miner` with the static per-root split that the
+/// work-stealing engine replaced, for the thread-scaling comparison: one
+/// worker per entry of `observers` takes whole roots from a shared counter
+/// and mines each with a one-thread [`mine_prepared_roots_to_sink`] run,
+/// reporting to its own observer, so no subtree below a root is ever
+/// shared. Subtree outputs are disjoint by root, so the result, finalized
+/// under `params` (the miner's), is the set the engine collects.
+///
+/// # Panics
+///
+/// Panics if a root's run fails (a worker panic).
+pub fn mine_static_roots<O: SyncMineObserver>(
+    miner: &Miner<'_>,
+    params: &MiningParams,
+    observers: &[O],
+) -> Vec<RegCluster> {
+    let next_root = AtomicUsize::new(0);
+    let sink = VecSink::new();
+    std::thread::scope(|scope| {
+        for observer in observers {
+            let (next_root, sink) = (&next_root, &sink);
+            scope.spawn(move || loop {
+                let root = next_root.fetch_add(1, Ordering::Relaxed);
+                if root >= miner.n_conditions() {
+                    break;
+                }
+                let config = EngineConfig::new(1);
+                mine_prepared_roots_to_sink(
+                    miner,
+                    &[root],
+                    &config,
+                    &MineControl::new(),
+                    observer,
+                    sink,
+                )
+                .expect("static-split mining succeeds");
+            });
+        }
+    });
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    clusters
 }
 
 /// Times a closure, returning its result and elapsed seconds.

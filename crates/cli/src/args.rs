@@ -309,11 +309,6 @@ USAGE:
 
   regcluster info --input <matrix.tsv>
 
-  regcluster baseline --input <matrix.tsv> --algorithm <NAME> [options]
-      deprecated alias for `mine --engine <NAME>` with the historical
-      defaults (--delta 0.1, --min-genes 5, --min-conds 3)
-      NAME: pcluster | scaling | opsm | op-cluster | cheng-church | floc
-
   regcluster rwave --input <matrix.tsv> --gene <label> [--gamma <F>]
       prints the gene's RWave^γ model: the condition ordering and the
       bordering regulation pointers (default γ = 0.15)
@@ -592,7 +587,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 // maximal-only / max-clusters compose with --delta-from:
                 // the splice produces the unfiltered union and the filters
                 // run as a post-pass over it (the previous store must
-                // itself be unfiltered; `run_delta_mine` checks that).
+                // itself be unfiltered; `mine` checks that).
             }
             Ok(Command::Mine {
                 input,
@@ -693,53 +688,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
             check_known(&opts, &["input"])?;
             Ok(Command::Info {
                 input: require(&opts, "input")?,
-            })
-        }
-        // Deprecated alias, kept for script compatibility: the historical
-        // bespoke baselines subcommand is now `mine --engine <NAME>` with
-        // the old defaults.
-        "baseline" => {
-            let opts = take_options(rest)?;
-            check_known(
-                &opts,
-                &["input", "algorithm", "delta", "min-genes", "min-conds"],
-            )?;
-            let algorithm = require(&opts, "algorithm")?;
-            const KNOWN: [&str; 6] = [
-                "pcluster",
-                "scaling",
-                "opsm",
-                "op-cluster",
-                "cheng-church",
-                "floc",
-            ];
-            if !KNOWN.contains(&algorithm.as_str()) {
-                return Err(ParseError(format!(
-                    "unknown algorithm {algorithm:?}; expected one of {KNOWN:?}"
-                )));
-            }
-            let min_genes = get(&opts, "min-genes", 5usize)?;
-            let min_conds = get(&opts, "min-conds", 3usize)?;
-            let params = MiningParams::new(min_genes, min_conds, 0.05, 1.0)
-                .map_err(|e| ParseError(e.to_string()))?;
-            Ok(Command::Mine {
-                input: require(&opts, "input")?,
-                engine: algorithm,
-                params,
-                delta: Some(get(&opts, "delta", 0.1f64)?),
-                threads: 1,
-                deadline_secs: None,
-                progress: false,
-                output: None,
-                impute: "none".to_string(),
-                stats: false,
-                store: None,
-                metrics: None,
-                metrics_json: None,
-                checkpoint: None,
-                checkpoint_every_secs: None,
-                resume: None,
-                delta_from: None,
             })
         }
         "rwave" => {
@@ -1112,39 +1060,6 @@ mod tests {
             "mine", "--input", "m", "--engine", "opsm", "--resume", "c.rck",
         ]))
         .is_err());
-    }
-
-    #[test]
-    fn baseline_is_an_alias_for_mine_with_engine() {
-        match parse_args(&sv(&[
-            "baseline",
-            "--input",
-            "m.tsv",
-            "--algorithm",
-            "opsm",
-        ]))
-        .unwrap()
-        {
-            Command::Mine {
-                input,
-                engine,
-                delta,
-                params,
-                threads,
-                ..
-            } => {
-                assert_eq!(input, "m.tsv");
-                assert_eq!(engine, "opsm");
-                assert_eq!(delta, Some(0.1));
-                assert_eq!(params.min_genes, 5);
-                assert_eq!(params.min_conds, 3);
-                assert_eq!(threads, 1);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        // The alias keeps its historical algorithm catalogue.
-        assert!(parse_args(&sv(&["baseline", "--input", "x", "--algorithm", "boolean"])).is_err());
-        assert!(parse_args(&sv(&["baseline", "--input", "x", "--algorithm", "magic"])).is_err());
     }
 
     #[test]

@@ -5,15 +5,14 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use regcluster_core::{
-    classify_roots, finalize_clusters, matrix_fingerprint, mine_prepared_roots_to_sink,
-    mine_prepared_to_sink, mine_prepared_to_sink_checkpointed, root_fingerprints, CheckpointPlan,
-    CheckpointReport, ClusterSink, EngineConfig, EngineReport, MetricsObserver, MineControl, Miner,
-    MiningParams, MiningStats, RegCluster, StreamReport, SyncMineObserver, VecSink,
+    classify_roots, finalize_clusters, matrix_fingerprint, root_fingerprints, BiclusterEngine,
+    CheckpointPlan, CheckpointReport, ClusterSink, EngineReport, MetricsObserver, MineControl,
+    MineRequest, Miner, MiningParams, MiningStats, RegCluster, SyncMineObserver, VecSink,
 };
 use regcluster_datagen::{generate, PlantedCluster};
 use regcluster_engines::{build_engine, EngineMetrics, EngineSpec};
 use regcluster_eval::{overlap, recovery, relevance, report, ClusterShape};
-use regcluster_matrix::{io, missing, ExpressionMatrix};
+use regcluster_matrix::{io, missing, CondId, ExpressionMatrix};
 use regcluster_obs::{MetricsRegistry, MonotonicClock, PhaseSpans};
 use regcluster_store::{
     read_checkpoint, CheckpointFile, ClusterStore, Generations, StoreProvenance, StoreWriter,
@@ -264,183 +263,7 @@ fn load_matrix(path: &str, impute_mode: &str) -> Result<ExpressionMatrix, CliErr
     }
 }
 
-/// The `mine` flags a non-default engine run needs (checkpointing is
-/// excluded: the parser refuses it for anything but reg-cluster).
-struct EngineMineArgs<'a> {
-    engine: &'a str,
-    input: &'a str,
-    params: &'a MiningParams,
-    delta: Option<f64>,
-    threads: usize,
-    deadline_secs: Option<f64>,
-    progress: bool,
-    output: Option<&'a str>,
-    impute: &'a str,
-    stats: bool,
-    store: Option<&'a str>,
-    metrics: Option<&'a str>,
-    metrics_json: Option<&'a str>,
-}
-
-/// `mine --engine <name>` for every engine except the default: builds the
-/// engine from the registry and drives it through the same pipeline as the
-/// reg-cluster path — phase spans, metrics registry, deadline control,
-/// streaming sinks and the `.rcs` store (stamped with the engine's name
-/// and native parameters as provenance).
-fn run_engine_mine(args: EngineMineArgs<'_>) -> Result<String, CliError> {
-    let registry = MetricsRegistry::new();
-    let clock = MonotonicClock::new();
-    let spans = PhaseSpans::new(&registry);
-    let observer = MineRunObserver {
-        metrics: MetricsObserver::register(&registry),
-        progress: args.progress.then(ProgressObserver::default),
-    };
-    let engine_metrics = EngineMetrics::register(&registry, args.engine);
-
-    let m = spans.time(&clock, "load", || load_matrix(args.input, args.impute))?;
-    let spec = EngineSpec {
-        min_genes: args.params.min_genes,
-        min_conds: args.params.min_conds,
-        delta: args.delta,
-        threads: args.threads,
-        max_clusters: args.params.max_clusters,
-        maximal_only: args.params.maximal_only,
-        ..EngineSpec::default()
-    };
-    let engine = build_engine(args.engine, &spec)?;
-    let control = match args.deadline_secs {
-        Some(s) => MineControl::with_deadline(std::time::Duration::from_secs_f64(s)),
-        None => MineControl::new(),
-    };
-    let start = std::time::Instant::now();
-    let post_filtered = args.params.maximal_only || args.params.max_clusters.is_some();
-    let (clusters, report, store_note) = match args.store {
-        None => {
-            let sink = VecSink::new();
-            let report = {
-                let _span = spans.span(&clock, "enumeration");
-                engine.run(&m, &sink, &control, &observer)?
-            };
-            let mut clusters = sink.into_clusters();
-            spans.time(&clock, "postprocess", || {
-                finalize_clusters(&mut clusters, args.params)
-            });
-            (clusters, report, None)
-        }
-        Some(store_path) => {
-            let writer = StoreWriter::create_with_engine(
-                store_path,
-                m.gene_names(),
-                m.condition_names(),
-                args.params,
-                engine.name(),
-                &engine.params_json(),
-            )?;
-            let (clusters, report) = if post_filtered {
-                // The post-filters need the full result set, so the store
-                // must hold the filtered clusters: collect, filter, write.
-                let sink = VecSink::new();
-                let report = {
-                    let _span = spans.span(&clock, "enumeration");
-                    engine.run(&m, &sink, &control, &observer)?
-                };
-                let mut clusters = sink.into_clusters();
-                spans.time(&clock, "postprocess", || {
-                    finalize_clusters(&mut clusters, args.params)
-                });
-                spans.time(&clock, "store_write", || {
-                    clusters.iter().try_for_each(|c| writer.write_cluster(c))
-                })?;
-                (clusters, report)
-            } else {
-                // Common case: clusters stream to disk as the engine emits
-                // them, composing with deadlines and cancellation.
-                let collected = VecSink::new();
-                let tee = TeeSink {
-                    store: &writer,
-                    collected: &collected,
-                };
-                let report = {
-                    let _span = spans.span(&clock, "enumeration");
-                    engine.run(&m, &tee, &control, &observer)?
-                };
-                let mut clusters = collected.into_clusters();
-                spans.time(&clock, "postprocess", || {
-                    finalize_clusters(&mut clusters, args.params)
-                });
-                (clusters, report)
-            };
-            let summary = spans.time(&clock, "store_write", || writer.finish())?;
-            let note = format!(
-                "store written to {store_path} ({} clusters, {} bytes)\n",
-                summary.n_clusters, summary.file_bytes
-            );
-            (clusters, report, Some(note))
-        }
-    };
-    engine_metrics.record(&report);
-    let elapsed = start.elapsed();
-
-    let mut text = format!(
-        "{}: {} biclusters in {:.3}s from {} genes × {} conditions\n",
-        args.engine,
-        clusters.len(),
-        elapsed.as_secs_f64(),
-        m.n_genes(),
-        m.n_conditions()
-    );
-    if report.truncated {
-        text.push_str("run interrupted (deadline, cancellation or budget): results are partial\n");
-    }
-    if args.stats {
-        match &report.stats {
-            Some(s) => {
-                text.push_str(&s.summary());
-                text.push('\n');
-            }
-            None => text.push_str(&format!(
-                "{} reports no search-effort statistics\n",
-                args.engine
-            )),
-        }
-    }
-    if let Some(note) = store_note {
-        text.push_str(&note);
-    }
-    for note in write_metric_snapshots(&registry, args.metrics, args.metrics_json)? {
-        text.push_str(&note);
-    }
-    match args.output {
-        Some(path) => {
-            let doc = MineOutput {
-                format_version: Some(MINE_OUTPUT_FORMAT_VERSION),
-                engine: Some(args.engine.to_string()),
-                params: args.params.clone(),
-                n_genes: m.n_genes(),
-                n_conds: m.n_conditions(),
-                threads: Some(args.threads),
-                elapsed_secs: Some(elapsed.as_secs_f64()),
-                ns_per_node: ns_per_node(elapsed, report.stats.as_ref()),
-                truncated: Some(report.truncated),
-                stats: report.stats.clone(),
-                resumed_from: None,
-                checkpoint_written: None,
-                clusters,
-            };
-            std::fs::write(path, serde_json::to_string_pretty(&doc)?)?;
-            text.push_str(&format!("clusters written to {path}\n"));
-        }
-        None => {
-            text.push_str("id\tgenes\tconds\n");
-            for (i, c) in clusters.iter().enumerate() {
-                text.push_str(&format!("{i}\t{}\t{}\n", c.n_genes(), c.n_conditions()));
-            }
-        }
-    }
-    Ok(text)
-}
-
-/// Where a reg-cluster `--store` argument points: a plain `.rcs` file, or
+/// Where a `--store` argument points: a plain `.rcs` file, or
 /// a generations directory (`mine --store <dir>`) whose next generation
 /// the run writes and then publishes atomically.
 enum StoreTarget {
@@ -501,10 +324,16 @@ impl StoreTarget {
     }
 }
 
-/// Opens the store a `--delta-from` argument names: either a sealed
-/// `.rcs` file or a generations directory (whose published generation is
-/// used). Returns the store and the resolved path for messages.
-fn open_previous_store(spec: &str) -> Result<(ClusterStore, String), CliError> {
+/// Opens the store a `--delta-from` argument names — a sealed `.rcs` file
+/// or a generations directory, whose published generation is used — and
+/// refuses it unless it mined the same problem: same engine, same
+/// parameters, same matrix shape, and no post-filters. Returns the store
+/// and its resolved path for messages.
+fn open_delta_base(
+    spec: &str,
+    m: &ExpressionMatrix,
+    params: &MiningParams,
+) -> Result<(ClusterStore, String), CliError> {
     let path = std::path::Path::new(spec);
     let resolved = if path.is_dir() {
         match Generations::open(path)?.current_path()? {
@@ -519,50 +348,8 @@ fn open_previous_store(spec: &str) -> Result<(ClusterStore, String), CliError> {
     } else {
         path.to_path_buf()
     };
-    let store = ClusterStore::open(&resolved)?;
-    Ok((store, resolved.display().to_string()))
-}
-
-/// The `mine` flags a `--delta-from` run needs. Checkpointing is
-/// excluded — the parser refuses it alongside a delta mine.
-struct DeltaMineArgs<'a> {
-    input: &'a str,
-    params: &'a MiningParams,
-    threads: usize,
-    deadline_secs: Option<f64>,
-    progress: bool,
-    output: Option<&'a str>,
-    impute: &'a str,
-    stats: bool,
-    store: Option<&'a str>,
-    metrics: Option<&'a str>,
-    metrics_json: Option<&'a str>,
-    delta_from: &'a str,
-}
-
-/// `mine --delta-from <prev>`: re-mine only the enumeration subtrees whose
-/// input rows changed since `prev` was mined, splicing every other
-/// subtree's clusters out of the previous store verbatim. The result is
-/// bit-identical to a full re-mine (see `crates/core/src/delta.rs` for the
-/// soundness argument and `crates/core/tests/delta_golden.rs` for the
-/// golden proof); on the store path the spliced records are copied as raw
-/// bytes, never deserialized.
-fn run_delta_mine(args: DeltaMineArgs<'_>) -> Result<String, CliError> {
-    let registry = MetricsRegistry::new();
-    let clock = MonotonicClock::new();
-    let spans = PhaseSpans::new(&registry);
-    let observer = MineRunObserver {
-        metrics: MetricsObserver::register(&registry),
-        progress: args.progress.then(ProgressObserver::default),
-    };
-    let engine_metrics = EngineMetrics::register(&registry, "reg-cluster");
-
-    let m = spans.time(&clock, "load", || load_matrix(args.input, args.impute))?;
-    let (prev, prev_path) = open_previous_store(args.delta_from)?;
-
-    // A previous run is only reusable when it mined the same problem:
-    // same engine, same parameters, same matrix shape — and it must carry
-    // root fingerprints to diff against.
+    let prev = ClusterStore::open(&resolved)?;
+    let prev_path = resolved.display().to_string();
     if let Some(engine) = prev.engine() {
         if engine != "reg-cluster" {
             return Err(CliError::Format(format!(
@@ -585,7 +372,6 @@ fn run_delta_mine(args: DeltaMineArgs<'_>) -> Result<String, CliError> {
     // boundaries, so they run as a post-pass over the spliced union: the
     // previous store must hold the *unfiltered* enumeration, and the
     // remaining parameters must match it exactly.
-    let post_filtered = args.params.maximal_only || args.params.max_clusters.is_some();
     if prev.params().maximal_only || prev.params().max_clusters.is_some() {
         return Err(CliError::Format(format!(
             "{prev_path}: store is post-filtered (--maximal-only/--max-clusters); \
@@ -593,7 +379,7 @@ fn run_delta_mine(args: DeltaMineArgs<'_>) -> Result<String, CliError> {
              re-run the full mine without post-filters to create one"
         )));
     }
-    let mut base_params = args.params.clone();
+    let mut base_params = params.clone();
     base_params.maximal_only = false;
     base_params.max_clusters = None;
     if prev.params() != &base_params {
@@ -605,226 +391,411 @@ fn run_delta_mine(args: DeltaMineArgs<'_>) -> Result<String, CliError> {
             base_params
         )));
     }
-    let Some(prev_fps) = prev.root_fingerprints() else {
-        return Err(CliError::Format(format!(
-            "{prev_path}: store carries no root fingerprints (it predates delta \
-             mining); run a full mine with --store to create a delta-capable one"
-        )));
-    };
+    Ok((prev, prev_path))
+}
 
-    let miner = spans.time(&clock, "index_build", || Miner::new(&m, args.params))?;
-    let new_fps = root_fingerprints(&miner);
-    let plan = classify_roots(prev_fps, &new_fps)?;
-    let unchanged = plan.unchanged_mask();
+/// A delta mine's root plan (`mine --delta-from`): re-mine only the
+/// subtrees whose input rows changed since `base` was mined and splice
+/// every other subtree's clusters out of `base` verbatim. The result is
+/// bit-identical to a full re-mine (see `crates/core/src/delta.rs` for the
+/// soundness argument and `crates/core/tests/delta_golden.rs` for the
+/// golden proof); on the streaming store path the spliced records are
+/// copied as raw bytes, never deserialized.
+struct Delta {
+    base: ClusterStore,
+    base_path: String,
+    /// Roots to re-enumerate.
+    dirty: Vec<CondId>,
+    /// Number of roots whose clusters carry over.
+    n_unchanged: usize,
+    /// Ids in `base` of every cluster rooted in an unchanged subtree.
+    spliced: Vec<u32>,
+}
 
-    // Clusters to carry over: everything rooted in an unchanged subtree.
-    // `cluster_root` reads one u32 from the packed record — no decode.
-    let mut spliced: Vec<u32> = Vec::new();
-    for id in 0..prev.n_clusters() {
-        if unchanged[prev.cluster_root(id)? as usize] {
-            spliced.push(id);
+impl Delta {
+    /// Diffs `base`'s root fingerprints against the new matrix's.
+    fn plan(base: ClusterStore, base_path: String, new_fps: &[u64]) -> Result<Self, CliError> {
+        let Some(prev_fps) = base.root_fingerprints() else {
+            return Err(CliError::Format(format!(
+                "{base_path}: store carries no root fingerprints (it predates delta \
+                 mining); run a full mine with --store to create a delta-capable one"
+            )));
+        };
+        let plan = classify_roots(prev_fps, new_fps)?;
+        let unchanged = plan.unchanged_mask();
+        // `cluster_root` reads one u32 from the packed record — no decode.
+        let mut spliced = Vec::new();
+        for id in 0..base.n_clusters() {
+            if unchanged[base.cluster_root(id)? as usize] {
+                spliced.push(id);
+            }
+        }
+        Ok(Delta {
+            n_unchanged: plan.unchanged.len(),
+            dirty: plan.dirty,
+            base,
+            base_path,
+            spliced,
+        })
+    }
+}
+
+/// The enumerate step of the `mine` pipeline: the one step that differs
+/// between a full mine, a delta mine and a registry engine.
+#[allow(clippy::large_enum_variant)] // one value per run, never moved in a loop
+enum Enumerate<'m> {
+    /// The reg-cluster engine over every root, or over a delta mine's
+    /// dirty roots only.
+    RegCluster {
+        miner: Miner<'m>,
+        delta: Option<Delta>,
+    },
+    /// A registry engine's own `run`.
+    Engine(Box<dyn BiclusterEngine>),
+}
+
+impl Enumerate<'_> {
+    fn delta(&self) -> Option<&Delta> {
+        match self {
+            Enumerate::RegCluster { delta, .. } => delta.as_ref(),
+            Enumerate::Engine(_) => None,
         }
     }
 
-    let control = match args.deadline_secs {
-        Some(s) => MineControl::with_deadline(std::time::Duration::from_secs_f64(s)),
+    /// Creates the writer for `target`. Reg-cluster stores carry delta
+    /// provenance — matrix and root fingerprints, generation — so a later
+    /// `mine --delta-from` can diff against them; engine stores name the
+    /// engine and its native parameters.
+    fn create_writer(
+        &self,
+        target: &StoreTarget,
+        m: &ExpressionMatrix,
+        params: &MiningParams,
+        fingerprints: Option<(u64, Vec<u64>)>,
+    ) -> Result<StoreWriter, CliError> {
+        let (path, genes, conds) = (target.write_path(), m.gene_names(), m.condition_names());
+        if let Enumerate::Engine(engine) = self {
+            let engine_params = engine.params_json();
+            return Ok(StoreWriter::create_with_engine(
+                path,
+                genes,
+                conds,
+                params,
+                engine.name(),
+                &engine_params,
+            )?);
+        }
+        let (matrix_fingerprint, root_fingerprints) = fingerprints.unzip();
+        let provenance = StoreProvenance {
+            engine: Some("reg-cluster".to_string()),
+            engine_params: Some(serde_json::to_string(params)?),
+            generation: target.generation(self.delta().map(|d| d.base.generation())),
+            matrix_fingerprint,
+            root_fingerprints,
+        };
+        Ok(StoreWriter::create_with_provenance(
+            path,
+            genes,
+            conds,
+            params,
+            &provenance,
+        )?)
+    }
+}
+
+/// `mine`, every engine and mode: load → index_build → enumerate →
+/// postprocess → store_write, each step a phase span (see
+/// `docs/OBSERVABILITY.md`). Only the enumerate step varies
+/// ([`Enumerate`]); the sink policy is chosen once, and only a complete
+/// run seals a store.
+fn mine(command: &Command) -> Result<String, CliError> {
+    let Command::Mine {
+        input,
+        engine,
+        params,
+        delta,
+        threads,
+        deadline_secs,
+        progress,
+        output,
+        impute,
+        stats,
+        store,
+        metrics,
+        metrics_json,
+        checkpoint,
+        checkpoint_every_secs,
+        resume,
+        delta_from,
+    } = command
+    else {
+        unreachable!("mine runs only the mine command");
+    };
+    // One registry per run: phase spans, the mining observer and the engine
+    // counters feed it, and --metrics/--metrics-json snapshot it at the end.
+    let registry = MetricsRegistry::new();
+    let clock = MonotonicClock::new();
+    let spans = PhaseSpans::new(&registry);
+    let observer = MineRunObserver {
+        metrics: MetricsObserver::register(&registry),
+        progress: progress.then(ProgressObserver::default),
+    };
+    let engine_metrics = EngineMetrics::register(&registry, engine);
+    let control = match deadline_secs {
+        Some(s) => MineControl::with_deadline(std::time::Duration::from_secs_f64(*s)),
         None => MineControl::new(),
     };
-    let config = EngineConfig::new(args.threads);
-    let start = std::time::Instant::now();
 
-    let (clusters, stat_counters, truncated, stopped_by_sink, store_note) = match args.store {
-        None => {
-            let sink = VecSink::new();
-            let report = {
-                let _span = spans.span(&clock, "enumeration");
-                mine_prepared_roots_to_sink(
-                    &miner,
-                    &plan.dirty,
-                    &config,
-                    &control,
-                    &observer,
-                    &sink,
-                )?
-            };
-            let mut clusters = sink.into_clusters();
-            for &id in &spliced {
-                clusters.push(prev.cluster(id)?);
+    let m = spans.time(&clock, "load", || load_matrix(input, impute))?;
+    let base = (delta_from.as_deref())
+        .map(|spec| open_delta_base(spec, &m, params))
+        .transpose()?;
+    let start = std::time::Instant::now();
+    let (source, fingerprints) = if engine == "reg-cluster" {
+        // Fingerprints stamp a store's delta provenance and drive a delta
+        // mine's root diff; they are part of the index build.
+        let needs_fingerprints = store.is_some() || base.is_some();
+        let (miner, fingerprints) = spans.time(&clock, "index_build", || {
+            let miner = Miner::new(&m, params)?;
+            let fingerprints =
+                needs_fingerprints.then(|| (matrix_fingerprint(&m), root_fingerprints(&miner)));
+            Ok::<_, CliError>((miner, fingerprints))
+        })?;
+        let delta = match (base, &fingerprints) {
+            (Some((prev, prev_path)), Some((_, roots))) => {
+                Some(Delta::plan(prev, prev_path, roots)?)
             }
-            spans.time(&clock, "postprocess", || {
-                finalize_clusters(&mut clusters, args.params)
-            });
-            (
-                clusters,
-                report.stats,
-                report.truncated,
-                report.stopped_by_sink,
-                None,
-            )
+            _ => None,
+        };
+        (Enumerate::RegCluster { miner, delta }, fingerprints)
+    } else {
+        let spec = EngineSpec {
+            min_genes: params.min_genes,
+            min_conds: params.min_conds,
+            delta: *delta,
+            threads: *threads,
+            max_clusters: params.max_clusters,
+            maximal_only: params.maximal_only,
+            ..EngineSpec::default()
+        };
+        (Enumerate::Engine(build_engine(engine, &spec)?), None)
+    };
+
+    // A directory-valued --store writes the lineage's next generation and
+    // publishes it after sealing.
+    let store = match store {
+        Some(spec) => {
+            let target = StoreTarget::resolve(spec)?;
+            let writer = source.create_writer(&target, &m, params, fingerprints)?;
+            Some((target, writer))
         }
-        Some(store_spec) => {
-            let target = StoreTarget::resolve(store_spec)?;
-            let provenance = StoreProvenance {
-                engine: Some("reg-cluster".to_string()),
-                engine_params: Some(serde_json::to_string(args.params)?),
-                generation: target.generation(Some(prev.generation())),
-                matrix_fingerprint: Some(matrix_fingerprint(&m)),
-                root_fingerprints: Some(new_fps.clone()),
+        None => None,
+    };
+    // The sink policy. Without a store, or when --maximal-only /
+    // --max-clusters need the whole result before anything is written,
+    // collect; otherwise stream every cluster into the store as it is
+    // found, composing with deadlines and cancellation.
+    let post_filtered = params.maximal_only || params.max_clusters.is_some();
+    let collected = VecSink::new();
+    let tee;
+    let sink: &dyn ClusterSink = match &store {
+        Some((_, writer)) if !post_filtered => {
+            tee = TeeSink {
+                store: writer,
+                collected: &collected,
             };
-            let write_path = target.write_path();
-            let writer = StoreWriter::create_with_provenance(
-                &write_path,
-                m.gene_names(),
-                m.condition_names(),
-                args.params,
-                &provenance,
-            )?;
-            let (clusters, report) = if post_filtered {
-                // The post-filters see the whole spliced union, so the
-                // store must hold the filtered set: collect fresh and
-                // spliced clusters, filter, then write it out.
-                let sink = VecSink::new();
-                let report = {
-                    let _span = spans.span(&clock, "enumeration");
-                    mine_prepared_roots_to_sink(
-                        &miner,
-                        &plan.dirty,
-                        &config,
-                        &control,
-                        &observer,
-                        &sink,
-                    )?
-                };
-                let mut clusters = sink.into_clusters();
-                for &id in &spliced {
-                    clusters.push(prev.cluster(id)?);
+            &tee
+        }
+        _ => &collected,
+    };
+
+    // Crash-safe runs: --checkpoint (or --resume, whose path then doubles
+    // as the snapshot sink) persist the enumeration frontier to a .rck
+    // file on any stop; --resume seeds the run from one. See
+    // docs/ROBUSTNESS.md.
+    let ck_path = checkpoint.as_deref().or(resume.as_deref());
+    let ck_file = ck_path.map(CheckpointFile::new);
+    let resume_ck = resume.as_deref().map(read_checkpoint).transpose()?;
+    let (report, ck_report) = {
+        let _span = spans.span(&clock, "enumeration");
+        match &source {
+            Enumerate::RegCluster { miner, delta } => {
+                let mut request = MineRequest::new(miner)
+                    .threads(*threads)
+                    .control(&control)
+                    .observer(&observer);
+                if let Some(delta) = delta {
+                    request = request.roots(&delta.dirty);
                 }
-                spans.time(&clock, "postprocess", || {
-                    finalize_clusters(&mut clusters, args.params)
-                });
-                spans.time(&clock, "store_write", || {
-                    clusters.iter().try_for_each(|c| writer.write_cluster(c))
-                })?;
-                (clusters, report)
-            } else {
-                // Splice first: raw packed records, straight from the old
-                // file to the new one.
-                spans.time(&clock, "store_write", || {
-                    spliced
-                        .iter()
-                        .try_for_each(|&id| writer.write_raw_record(prev.record_bytes(id)?))
-                })?;
-                // Then stream the dirty subtrees' fresh clusters on top.
-                let collected = VecSink::new();
-                let tee = TeeSink {
-                    store: &writer,
-                    collected: &collected,
-                };
-                let report = {
-                    let _span = spans.span(&clock, "enumeration");
-                    mine_prepared_roots_to_sink(
-                        &miner,
-                        &plan.dirty,
-                        &config,
-                        &control,
-                        &observer,
-                        &tee,
-                    )?
-                };
-                let mut clusters = collected.into_clusters();
-                for &id in &spliced {
-                    clusters.push(prev.cluster(id)?);
+                if let Some(file) = &ck_file {
+                    let mut plan = CheckpointPlan::new(file);
+                    if let Some(secs) = checkpoint_every_secs {
+                        plan = plan.with_every(std::time::Duration::from_secs_f64(*secs));
+                    }
+                    if let Some(ck) = resume_ck {
+                        plan = plan.with_resume(ck);
+                    }
+                    request = request.checkpoint(plan);
                 }
-                spans.time(&clock, "postprocess", || {
-                    finalize_clusters(&mut clusters, args.params)
-                });
-                (clusters, report)
-            };
-            // Sealing canonicalizes ids, so splice order does not matter.
-            let summary = spans.time(&clock, "store_write", || writer.finish())?;
+                let (stream, ck_report) = request.run(sink)?;
+                let report = EngineReport {
+                    n_emitted: stream.stats.emitted,
+                    truncated: stream.truncated,
+                    stopped_by_sink: stream.stopped_by_sink,
+                    stats: Some(stream.stats),
+                };
+                (report, ck_report)
+            }
+            Enumerate::Engine(engine) => (
+                engine.run(&m, sink, &control, &observer)?,
+                CheckpointReport::default(),
+            ),
+        }
+    };
+    engine_metrics.record(&report);
+
+    let mut clusters = collected.into_clusters();
+    if let Some(delta) = source.delta() {
+        for &id in &delta.spliced {
+            clusters.push(delta.base.cluster(id)?);
+        }
+    }
+    spans.time(&clock, "postprocess", || {
+        finalize_clusters(&mut clusters, params)
+    });
+
+    // Only a complete run seals a store: a partial one would carry root
+    // fingerprints, and a later delta mine would trust it as complete. A
+    // run stopped by a deadline or cancellation leaves the writer's
+    // scratch file unsealed (the next publish sweeps it); a sink stop —
+    // a store write error — still goes through finish(), which surfaces
+    // the error.
+    let interrupted = report.truncated && !report.stopped_by_sink && control.is_cancelled();
+    let store_note = match store {
+        None => None,
+        Some(_) if interrupted => {
+            Some("no store written: the run was interrupted before completion\n".to_string())
+        }
+        Some((target, writer)) => {
+            let summary = spans.time(&clock, "store_write", || {
+                if post_filtered {
+                    clusters.iter().try_for_each(|c| writer.write_cluster(c))?;
+                } else if let Some(delta) = source.delta() {
+                    // Raw packed records, straight from the old file to the
+                    // new one; sealing canonicalizes ids, so order is moot.
+                    for &id in &delta.spliced {
+                        writer.write_raw_record(delta.base.record_bytes(id)?)?;
+                    }
+                }
+                writer.finish()
+            })?;
             let mut note = format!(
                 "store written to {} ({} clusters, {} bytes)\n",
-                write_path.display(),
+                target.write_path().display(),
                 summary.n_clusters,
                 summary.file_bytes
             );
             if let Some(published) = target.publish()? {
                 note.push_str(&published);
             }
-            (
-                clusters,
-                report.stats,
-                report.truncated,
-                report.stopped_by_sink,
-                Some(note),
-            )
+            Some(note)
         }
     };
-    engine_metrics.record(&EngineReport {
-        n_emitted: stat_counters.emitted,
-        truncated,
-        stopped_by_sink,
-        stats: None,
-    });
     let elapsed = start.elapsed();
 
-    let mut text = format!(
-        "delta-mined {} reg-clusters from {} genes × {} conditions in {:.3}s on {} thread{}\n",
-        clusters.len(),
-        m.n_genes(),
-        m.n_conditions(),
-        elapsed.as_secs_f64(),
-        args.threads,
-        if args.threads == 1 { "" } else { "s" }
-    );
-    text.push_str(&format!(
-        "{} of {} roots dirty: re-enumerated them, spliced {} clusters from \
-         {} unchanged subtrees of {prev_path}\n",
-        plan.dirty.len(),
-        new_fps.len(),
-        spliced.len(),
-        plan.unchanged.len()
-    ));
-    if truncated {
-        text.push_str("deadline expired: results are partial\n");
+    let plural = if *threads == 1 { "" } else { "s" };
+    let (n_genes, n_conds) = (m.n_genes(), m.n_conditions());
+    let secs = elapsed.as_secs_f64();
+    let mut text = match (&source, source.delta()) {
+        (Enumerate::Engine(_), _) => format!(
+            "{engine}: {} biclusters in {secs:.3}s from {n_genes} genes × {n_conds} conditions\n",
+            clusters.len()
+        ),
+        (_, None) => format!(
+            "mined {} reg-clusters from {n_genes} genes × {n_conds} conditions in {secs:.3}s \
+             on {threads} thread{plural}\n",
+            clusters.len()
+        ),
+        (_, Some(delta)) => format!(
+            "delta-mined {} reg-clusters from {n_genes} genes × {n_conds} conditions in \
+             {secs:.3}s on {threads} thread{plural}\n{} of {n_conds} roots dirty: re-enumerated \
+             them, spliced {} clusters from {} unchanged subtrees of {}\n",
+            clusters.len(),
+            delta.dirty.len(),
+            delta.spliced.len(),
+            delta.n_unchanged,
+            delta.base_path
+        ),
+    };
+    let is_engine = matches!(source, Enumerate::Engine(_));
+    if report.truncated {
+        text.push_str(if is_engine {
+            "run interrupted (deadline, cancellation or budget): results are partial\n"
+        } else {
+            "deadline expired: results are partial\n"
+        });
     }
-    if args.stats {
-        text.push_str(&stat_counters.summary());
-        text.push('\n');
+    let resumed_from = ck_report
+        .resumed
+        .then(|| resume.clone().unwrap_or_default());
+    let checkpoint_written =
+        (ck_report.checkpoints_written > 0).then(|| ck_path.unwrap_or_default().to_string());
+    if let Some(path) = &resumed_from {
+        text.push_str(&format!("resumed from checkpoint {path}\n"));
     }
-    if !clusters.is_empty() {
+    if let Some(path) = &checkpoint_written {
+        let snapshots = ck_report.checkpoints_written;
+        let plural = if snapshots == 1 { "" } else { "s" };
+        text.push_str(&format!(
+            "checkpoint written to {path} ({snapshots} snapshot{plural})\n"
+        ));
+    }
+    if *stats {
+        match &report.stats {
+            Some(s) => {
+                text.push_str(&s.summary());
+                text.push('\n');
+            }
+            None => text.push_str(&format!("{engine} reports no search-effort statistics\n")),
+        }
+    }
+    if !is_engine && !clusters.is_empty() {
         text.push_str(&report::overlap_summary(&clusters));
         text.push('\n');
     }
     if let Some(note) = store_note {
         text.push_str(&note);
     }
-    for note in write_metric_snapshots(&registry, args.metrics, args.metrics_json)? {
+    for note in write_metric_snapshots(&registry, metrics.as_deref(), metrics_json.as_deref())? {
         text.push_str(&note);
     }
-    match args.output {
+    match output {
         Some(path) => {
             let doc = MineOutput {
                 format_version: Some(MINE_OUTPUT_FORMAT_VERSION),
-                engine: Some("reg-cluster".to_string()),
-                params: args.params.clone(),
-                n_genes: m.n_genes(),
-                n_conds: m.n_conditions(),
-                threads: Some(args.threads),
-                elapsed_secs: Some(elapsed.as_secs_f64()),
-                ns_per_node: ns_per_node(elapsed, Some(&stat_counters)),
-                truncated: Some(truncated),
-                stats: Some(stat_counters),
-                resumed_from: None,
-                checkpoint_written: None,
+                engine: Some(engine.clone()),
+                params: params.clone(),
+                n_genes,
+                n_conds,
+                threads: Some(*threads),
+                elapsed_secs: Some(secs),
+                ns_per_node: ns_per_node(elapsed, report.stats.as_ref()),
+                truncated: Some(report.truncated),
+                stats: report.stats,
+                resumed_from,
+                checkpoint_written,
                 clusters,
             };
             std::fs::write(path, serde_json::to_string_pretty(&doc)?)?;
             text.push_str(&format!("clusters written to {path}\n"));
         }
-        None => {
-            text.push_str(&report::cluster_table(&m, &clusters));
+        None if is_engine => {
+            text.push_str("id\tgenes\tconds\n");
+            for (i, c) in clusters.iter().enumerate() {
+                text.push_str(&format!("{i}\t{}\t{}\n", c.n_genes(), c.n_conditions()));
+            }
         }
+        None => text.push_str(&report::cluster_table(&m, &clusters)),
     }
     Ok(text)
 }
@@ -897,313 +868,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 }
             ))
         }
-        Command::Mine {
-            input,
-            engine,
-            params,
-            delta,
-            threads,
-            deadline_secs,
-            progress,
-            output,
-            impute,
-            stats,
-            store,
-            metrics,
-            metrics_json,
-            checkpoint,
-            checkpoint_every_secs,
-            resume,
-            delta_from,
-        } => {
-            // Non-default engines run through the BiclusterEngine registry:
-            // same matrix loading, sinks, deadline control, observer,
-            // metrics and store plumbing — no bespoke per-algorithm wiring.
-            if engine != "reg-cluster" {
-                return run_engine_mine(EngineMineArgs {
-                    engine,
-                    input,
-                    params,
-                    delta: *delta,
-                    threads: *threads,
-                    deadline_secs: *deadline_secs,
-                    progress: *progress,
-                    output: output.as_deref(),
-                    impute,
-                    stats: *stats,
-                    store: store.as_deref(),
-                    metrics: metrics.as_deref(),
-                    metrics_json: metrics_json.as_deref(),
-                });
-            }
-            // Incremental runs re-mine only the subtrees whose input
-            // changed since a previous store; everything else (including
-            // checkpointing, which the parser refuses alongside it) stays
-            // on the full-mine path below.
-            if let Some(prev) = delta_from {
-                return run_delta_mine(DeltaMineArgs {
-                    input,
-                    params,
-                    threads: *threads,
-                    deadline_secs: *deadline_secs,
-                    progress: *progress,
-                    output: output.as_deref(),
-                    impute,
-                    stats: *stats,
-                    store: store.as_deref(),
-                    metrics: metrics.as_deref(),
-                    metrics_json: metrics_json.as_deref(),
-                    delta_from: prev,
-                });
-            }
-            // One registry per run: phase spans + the mining observer feed
-            // it, and --metrics/--metrics-json snapshot it at the end.
-            let registry = MetricsRegistry::new();
-            let clock = MonotonicClock::new();
-            let spans = PhaseSpans::new(&registry);
-            let observer = MineRunObserver {
-                metrics: MetricsObserver::register(&registry),
-                progress: progress.then(ProgressObserver::default),
-            };
-            let engine_metrics = EngineMetrics::register(&registry, "reg-cluster");
-
-            let m = spans.time(&clock, "load", || load_matrix(input, impute))?;
-            let start = std::time::Instant::now();
-            let control = match deadline_secs {
-                Some(s) => MineControl::with_deadline(std::time::Duration::from_secs_f64(*s)),
-                None => MineControl::new(),
-            };
-            let config = EngineConfig::new(*threads);
-            // Building the RWave^γ models is its own phase, so enter the
-            // engine with a prepared miner instead of mine_engine_with.
-            let miner = spans.time(&clock, "index_build", || Miner::new(&m, params))?;
-
-            // Crash-safe runs: --checkpoint (or --resume, whose path then
-            // doubles as the snapshot sink) persist the enumeration
-            // frontier to a .rck file on any stop; --resume seeds the run
-            // from one. See docs/ROBUSTNESS.md.
-            let ck_path = checkpoint.as_deref().or(resume.as_deref());
-            let ck_file = ck_path.map(CheckpointFile::new);
-            let resume_ck = match resume {
-                Some(path) => Some(read_checkpoint(path)?),
-                None => None,
-            };
-            let run_engine =
-                |sink: &dyn ClusterSink| -> Result<(StreamReport, CheckpointReport), CliError> {
-                    match &ck_file {
-                        Some(file) => {
-                            let mut plan = CheckpointPlan::new(file);
-                            if let Some(secs) = checkpoint_every_secs {
-                                plan = plan.with_every(std::time::Duration::from_secs_f64(*secs));
-                            }
-                            if let Some(ck) = resume_ck.clone() {
-                                plan = plan.with_resume(ck);
-                            }
-                            Ok(mine_prepared_to_sink_checkpointed(
-                                &miner, &config, &control, &observer, sink, plan,
-                            )?)
-                        }
-                        None => {
-                            let report =
-                                mine_prepared_to_sink(&miner, &config, &control, &observer, sink)?;
-                            Ok((
-                                report,
-                                CheckpointReport {
-                                    resumed: false,
-                                    checkpoints_written: 0,
-                                },
-                            ))
-                        }
-                    }
-                };
-
-            let (clusters, stat_counters, truncated, stopped_by_sink, ck_report, store_note) =
-                match store {
-                    None => {
-                        let sink = VecSink::new();
-                        let (report, ck_report) = {
-                            let _span = spans.span(&clock, "enumeration");
-                            run_engine(&sink)?
-                        };
-                        let mut clusters = sink.into_clusters();
-                        spans.time(&clock, "postprocess", || {
-                            finalize_clusters(&mut clusters, params)
-                        });
-                        (
-                            clusters,
-                            report.stats,
-                            report.truncated,
-                            report.stopped_by_sink,
-                            ck_report,
-                            None,
-                        )
-                    }
-                    Some(store_spec) => {
-                        // Full mines stamp delta provenance (matrix + root
-                        // fingerprints, generation) so a later
-                        // `mine --delta-from` can diff against this store.
-                        // A directory-valued --store writes the lineage's
-                        // next generation and publishes it after sealing.
-                        let target = StoreTarget::resolve(store_spec)?;
-                        let write_path = target.write_path();
-                        let writer = StoreWriter::create_with_provenance(
-                            &write_path,
-                            m.gene_names(),
-                            m.condition_names(),
-                            params,
-                            &StoreProvenance {
-                                engine: Some("reg-cluster".to_string()),
-                                engine_params: Some(serde_json::to_string(params)?),
-                                generation: target.generation(None),
-                                matrix_fingerprint: Some(matrix_fingerprint(&m)),
-                                root_fingerprints: Some(root_fingerprints(&miner)),
-                            },
-                        )?;
-                        let post_filtered = params.maximal_only || params.max_clusters.is_some();
-                        let (clusters, stats, truncated, stopped, ck_report) = if post_filtered {
-                            // maximal-only / max-clusters prune *after* the full
-                            // enumeration, so the store must hold the filtered
-                            // set: collect first, then write it out.
-                            let sink = VecSink::new();
-                            let (report, ck_report) = {
-                                let _span = spans.span(&clock, "enumeration");
-                                run_engine(&sink)?
-                            };
-                            let mut clusters = sink.into_clusters();
-                            spans.time(&clock, "postprocess", || {
-                                finalize_clusters(&mut clusters, params)
-                            });
-                            spans.time(&clock, "store_write", || {
-                                clusters.iter().try_for_each(|c| writer.write_cluster(c))
-                            })?;
-                            (
-                                clusters,
-                                report.stats,
-                                report.truncated,
-                                report.stopped_by_sink,
-                                ck_report,
-                            )
-                        } else {
-                            // Common case: clusters stream to disk as the engine
-                            // finds them, composing with deadlines/cancellation.
-                            // Store writes overlap enumeration here, so the
-                            // store_write span covers only the final seal.
-                            let collected = VecSink::new();
-                            let tee = TeeSink {
-                                store: &writer,
-                                collected: &collected,
-                            };
-                            let (report, ck_report) = {
-                                let _span = spans.span(&clock, "enumeration");
-                                run_engine(&tee)?
-                            };
-                            let mut clusters = collected.into_clusters();
-                            spans.time(&clock, "postprocess", || {
-                                finalize_clusters(&mut clusters, params)
-                            });
-                            (
-                                clusters,
-                                report.stats,
-                                report.truncated,
-                                report.stopped_by_sink,
-                                ck_report,
-                            )
-                        };
-                        // finish() seals the file and surfaces any write error
-                        // that made the sink refuse clusters mid-run.
-                        let summary = spans.time(&clock, "store_write", || writer.finish())?;
-                        let mut note = format!(
-                            "store written to {} ({} clusters, {} bytes)\n",
-                            write_path.display(),
-                            summary.n_clusters,
-                            summary.file_bytes
-                        );
-                        if let Some(published) = target.publish()? {
-                            note.push_str(&published);
-                        }
-                        (clusters, stats, truncated, stopped, ck_report, Some(note))
-                    }
-                };
-            engine_metrics.record(&EngineReport {
-                n_emitted: stat_counters.emitted,
-                truncated,
-                stopped_by_sink,
-                stats: None,
-            });
-            let elapsed = start.elapsed();
-            let mut text = format!(
-                "mined {} reg-clusters from {} genes × {} conditions in {:.3}s on {} thread{}\n",
-                clusters.len(),
-                m.n_genes(),
-                m.n_conditions(),
-                elapsed.as_secs_f64(),
-                threads,
-                if *threads == 1 { "" } else { "s" }
-            );
-            if truncated {
-                text.push_str("deadline expired: results are partial\n");
-            }
-            let resumed_from = ck_report
-                .resumed
-                .then(|| resume.clone().unwrap_or_default());
-            let checkpoint_written = (ck_report.checkpoints_written > 0)
-                .then(|| ck_path.unwrap_or_default().to_string());
-            if let Some(path) = &resumed_from {
-                text.push_str(&format!("resumed from checkpoint {path}\n"));
-            }
-            if let Some(path) = &checkpoint_written {
-                text.push_str(&format!(
-                    "checkpoint written to {path} ({} snapshot{})\n",
-                    ck_report.checkpoints_written,
-                    if ck_report.checkpoints_written == 1 {
-                        ""
-                    } else {
-                        "s"
-                    }
-                ));
-            }
-            if *stats {
-                text.push_str(&stat_counters.summary());
-                text.push('\n');
-            }
-            if !clusters.is_empty() {
-                text.push_str(&report::overlap_summary(&clusters));
-                text.push('\n');
-            }
-            if let Some(note) = store_note {
-                text.push_str(&note);
-            }
-            for note in
-                write_metric_snapshots(&registry, metrics.as_deref(), metrics_json.as_deref())?
-            {
-                text.push_str(&note);
-            }
-            match output {
-                Some(path) => {
-                    let doc = MineOutput {
-                        format_version: Some(MINE_OUTPUT_FORMAT_VERSION),
-                        engine: Some("reg-cluster".to_string()),
-                        params: params.clone(),
-                        n_genes: m.n_genes(),
-                        n_conds: m.n_conditions(),
-                        threads: Some(*threads),
-                        elapsed_secs: Some(elapsed.as_secs_f64()),
-                        ns_per_node: ns_per_node(elapsed, Some(&stat_counters)),
-                        truncated: Some(truncated),
-                        stats: Some(stat_counters),
-                        resumed_from: resumed_from.clone(),
-                        checkpoint_written: checkpoint_written.clone(),
-                        clusters,
-                    };
-                    std::fs::write(path, serde_json::to_string_pretty(&doc)?)?;
-                    text.push_str(&format!("clusters written to {path}\n"));
-                }
-                None => {
-                    text.push_str(&report::cluster_table(&m, &clusters));
-                }
-            }
-            Ok(text)
-        }
+        Command::Mine { .. } => mine(command),
         Command::Generate {
             output,
             config,
@@ -1716,66 +1381,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_subcommand_runs_each_algorithm() {
-        let dir = tmpdir();
-        let path = dir.join("baseline.tsv");
-        // A matrix with a clear shifting family so pcluster finds something.
-        let base = [1.0f64, 4.0, 2.0, 8.0, 5.0];
-        let rows: Vec<Vec<f64>> = (0..5)
-            .map(|i| base.iter().map(|v| v + i as f64).collect())
-            .collect();
-        let genes = (0..5).map(|i| format!("g{i}")).collect();
-        let conds = (0..5).map(|i| format!("c{i}")).collect();
-        let m = regcluster_matrix::ExpressionMatrix::from_rows(genes, conds, rows).unwrap();
-        regcluster_matrix::io::write_matrix_file(&m, &path).unwrap();
-
-        for algo in [
-            "pcluster",
-            "scaling",
-            "opsm",
-            "op-cluster",
-            "cheng-church",
-            "floc",
-        ] {
-            let cmd = parse_args(&sv(&[
-                "baseline",
-                "--input",
-                path.to_str().unwrap(),
-                "--algorithm",
-                algo,
-                "--delta",
-                "0.2",
-                "--min-genes",
-                "3",
-                "--min-conds",
-                "3",
-            ]))
-            .unwrap();
-            let out = run(&cmd).unwrap_or_else(|e| panic!("{algo}: {e}"));
-            assert!(out.contains(algo), "{out}");
-        }
-        // pcluster specifically must find the 5-gene shifting family.
-        let cmd = parse_args(&sv(&[
-            "baseline",
-            "--input",
-            path.to_str().unwrap(),
-            "--algorithm",
-            "pcluster",
-            "--delta",
-            "0.001",
-            "--min-genes",
-            "5",
-            "--min-conds",
-            "5",
-        ]))
-        .unwrap();
-        let out = run(&cmd).unwrap();
-        assert!(out.contains("1 biclusters"), "{out}");
-        // Unknown algorithm is a parse error.
-        assert!(parse_args(&sv(&["baseline", "--input", "x", "--algorithm", "magic"])).is_err());
-    }
-
-    #[test]
     fn rwave_prints_model() {
         let dir = tmpdir();
         let path = dir.join("rwave.tsv");
@@ -2179,6 +1784,64 @@ mod tests {
             "both stores fingerprint the same matrix"
         );
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An interrupted `mine --store` seals nothing: the lineage's
+    /// `CURRENT` stays on the last complete generation, so a later delta
+    /// mine still splices the full cluster set instead of trusting a
+    /// partial store.
+    #[test]
+    fn interrupted_mine_publishes_no_generation() {
+        let dir = tmpdir().join(format!("interrupted-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let matrix = dir.join("m.tsv");
+        write_delta_matrix(&matrix, false);
+        let gens_dir = dir.join("lineage");
+        std::fs::create_dir_all(&gens_dir).unwrap();
+        let found = dir.join("partial.json");
+
+        let out = run(&mine_cmd(&[
+            "--input",
+            matrix.to_str().unwrap(),
+            "--store",
+            gens_dir.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(out.contains("generation 0 published"), "{out}");
+        let gens = Generations::open(&gens_dir).unwrap();
+        let full = ClusterStore::open(gens.path_for(0)).unwrap().n_clusters();
+        assert!(full > 0, "reference mine found nothing");
+
+        let out = run(&mine_cmd(&[
+            "--input",
+            matrix.to_str().unwrap(),
+            "--deadline-secs",
+            "0",
+            "--store",
+            gens_dir.to_str().unwrap(),
+            "--output",
+            found.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(out.contains("deadline expired"), "{out}");
+        assert!(out.contains("no store written"), "{out}");
+        assert!(!out.contains("published"), "{out}");
+        assert_eq!(gens.current().unwrap(), Some(0), "CURRENT must not move");
+        let doc = read_mine_output(found.to_str().unwrap()).unwrap();
+        assert_eq!(doc.truncated, Some(true));
+
+        let out = run(&mine_cmd(&[
+            "--input",
+            matrix.to_str().unwrap(),
+            "--delta-from",
+            gens_dir.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(
+            out.contains(&format!("delta-mined {full} reg-clusters")),
+            "{out}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,12 +10,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "baseline") {
-        eprintln!(
-            "warning: `baseline` is deprecated and will be removed; use \
-             `mine --engine <NAME>` (see `regcluster help`)"
-        );
-    }
     let command = match regcluster_cli::parse_args(&args) {
         Ok(c) => c,
         Err(e) => {

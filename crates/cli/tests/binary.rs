@@ -20,7 +20,6 @@ fn help_exits_zero_and_prints_usage() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("regcluster mine"));
-    assert!(text.contains("regcluster baseline"));
 }
 
 #[test]
@@ -424,71 +423,6 @@ fn failpoints_env_var_reaches_the_binary() {
     );
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("mined 1 reg-clusters"), "{text}");
-}
-
-#[test]
-fn baseline_alias_warns_once_on_stderr_and_still_works() {
-    let dir = tmpdir();
-    let matrix = dir.join("baseline-warn.tsv");
-    regcluster_matrix::io::write_matrix_file(&regcluster_datagen::running_example(), &matrix)
-        .unwrap();
-
-    // The deprecated alias still runs, but stderr carries exactly one
-    // deprecation line pointing at the replacement.
-    let out = bin()
-        .args([
-            "baseline",
-            "--input",
-            matrix.to_str().unwrap(),
-            "--algorithm",
-            "pcluster",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(
-        err.matches("deprecated").count(),
-        1,
-        "exactly one deprecation line: {err}"
-    );
-    assert!(
-        err.contains("mine --engine"),
-        "points at replacement: {err}"
-    );
-
-    // The warning precedes parsing, so even a malformed baseline call
-    // carries it — still exactly once.
-    let out = bin().arg("baseline").output().unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(err.matches("deprecated").count(), 1, "{err}");
-
-    // The replacement spelling is warning-free.
-    let out = bin()
-        .args([
-            "mine",
-            "--input",
-            matrix.to_str().unwrap(),
-            "--engine",
-            "pcluster",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        !err.contains("deprecated"),
-        "`mine --engine` must not warn: {err}"
-    );
 }
 
 #[test]

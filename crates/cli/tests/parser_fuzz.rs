@@ -12,7 +12,7 @@ fn token() -> impl Strategy<Value = String> {
         Just("eval".to_string()),
         Just("info".to_string()),
         Just("rwave".to_string()),
-        Just("baseline".to_string()),
+        Just("--engine".to_string()),
         Just("enrich".to_string()),
         Just("generate-yeast".to_string()),
         Just("help".to_string()),

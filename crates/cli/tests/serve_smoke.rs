@@ -44,27 +44,38 @@ fn build_store(name: &str) -> PathBuf {
     path
 }
 
-/// One blocking HTTP GET; returns (status, body).
-fn get(port: u16, path: &str) -> (u16, String) {
+/// Sends one `GET` in a single write and returns the raw response. A
+/// server shedding the connection answers without reading the request, and
+/// its close may reset the connection once the response is in; the bytes
+/// that arrived before the reset are the response.
+fn request(port: u16, path: &str) -> String {
     let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let status: u16 = raw
-        .split_whitespace()
+    let line = format!("GET {path} HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n");
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut raw = Vec::new();
+    if let Err(e) = stream.read_to_end(&mut raw) {
+        assert!(!raw.is_empty(), "no response to GET {path}: {e}");
+    }
+    String::from_utf8(raw).unwrap()
+}
+
+/// The status code of a raw response.
+fn status_of(raw: &str) -> u16 {
+    raw.split_whitespace()
         .nth(1)
         .unwrap_or_else(|| panic!("malformed response: {raw:?}"))
         .parse()
-        .unwrap();
+        .unwrap()
+}
+
+/// One blocking HTTP GET; returns (status, body).
+fn get(port: u16, path: &str) -> (u16, String) {
+    let raw = request(port, path);
     let body = raw
         .split_once("\r\n\r\n")
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
-    (status, body)
+    (status_of(&raw), body)
 }
 
 /// Scrapes `/metrics`, checks status + content type, and asserts the body
@@ -72,14 +83,7 @@ fn get(port: u16, path: &str) -> (u16, String) {
 /// `# TYPE` comment or a `name{labels} value` sample with a parseable
 /// value, and every family has its HELP/TYPE pair. Returns the samples.
 fn scrape_metrics(port: u16) -> Vec<(String, f64)> {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    write!(
-        stream,
-        "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
+    let raw = request(port, "/metrics");
     assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
     let (headers, body) = raw.split_once("\r\n\r\n").unwrap();
     assert!(
@@ -321,10 +325,22 @@ fn overload_is_shed_with_503_and_recovers() {
     assert!(stalls.len() <= 2, "only worker + queue slot can absorb");
 
     // Recovery: release the stalled connections; the worker drains them
-    // (EOF, nothing counted) and normal service resumes.
+    // (EOF, nothing counted) and normal service resumes. While it is still
+    // draining, the next request may itself be shed with a correct 503; a
+    // client honours its Retry-After, a bounded number of times.
     drop(stalls);
-    let (status, body) = get(port, "/health");
-    assert_eq!(status, 200, "{body}");
+    let mut retries = 0;
+    let raw = loop {
+        let raw = request(port, "/health");
+        if status_of(&raw) != 503 || retries == 5 {
+            break raw;
+        }
+        assert!(raw.contains("Retry-After: 1"), "{raw}");
+        shed_seen += 1;
+        retries += 1;
+        std::thread::sleep(std::time::Duration::from_secs(1));
+    };
+    assert_eq!(status_of(&raw), 200, "{raw}");
 
     // The shed counter on /metrics saw every 503, and shed connections
     // were never counted as handled requests.

@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use regcluster_core::{
-    matrix_fingerprint, mine_prepared_roots_to_sink_checkpointed, range_roots, root_fingerprints,
-    CheckpointPlan, EngineConfig, MineControl, Miner, MiningParams, NoopObserver,
+    matrix_fingerprint, range_roots, root_fingerprints, CheckpointPlan, MineControl, MineRequest,
+    Miner, MiningParams,
 };
 use regcluster_matrix::io::read_matrix_file;
 use regcluster_matrix::ExpressionMatrix;
@@ -284,15 +284,12 @@ fn mine_lease(
     let control = MineControl::new();
     let heartbeat = spawn_heartbeat(cfg, grant, &control);
     let roots = range_roots(start, end);
-    let mine_result = mine_prepared_roots_to_sink_checkpointed(
-        miner,
-        &roots,
-        &EngineConfig::new(cfg.threads.max(1)),
-        &control,
-        &NoopObserver,
-        &writer,
-        plan,
-    );
+    let mine_result = MineRequest::new(miner)
+        .roots(&roots)
+        .threads(cfg.threads.max(1))
+        .control(&control)
+        .checkpoint(plan)
+        .run(&writer);
     heartbeat.stop();
 
     // A checkpoint that no longer matches this run (params changed

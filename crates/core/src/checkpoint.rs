@@ -136,7 +136,7 @@ impl<'a> CheckpointPlan<'a> {
 
 /// What checkpointing did during a run, reported alongside the mining
 /// outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointReport {
     /// The run was seeded from a resume checkpoint.
     pub resumed: bool,

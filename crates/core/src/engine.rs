@@ -5,12 +5,15 @@
 //! a spill-based work-stealing scheme: every enumeration node is a `Task`
 //! (chain prefix + surviving members), each worker runs an ordinary
 //! depth-first traversal over its local LIFO deque, and when the local deque
-//! grows past [`EngineConfig::spill_threshold`] while other workers are
-//! starving, the *shallowest* pending subtrees are spilled from the front of
-//! the deque into a shared queue. This splits the tree at any depth — a
-//! single heavy root no longer serializes the run the way the old
-//! static-per-root split did ([`SplitStrategy::StaticRoots`] reproduces that
-//! behavior for comparison benchmarks).
+//! grows past a small spill threshold while other workers are starving, the
+//! *shallowest* pending subtrees are spilled from the front of the deque
+//! into a shared queue. This splits the tree at any depth — a single heavy
+//! root does not serialize the run the way a static per-root split does
+//! (the thread-scaling bench emulates that split for comparison).
+//!
+//! Every run goes through one entry point, [`MineRequest`]: a prepared
+//! [`Miner`], the roots (all or a subset), the worker count, and optional
+//! cancellation, observer and checkpoint plan.
 //!
 //! Collection goes through a [`ClusterSink`]: [`VecSink`] gathers everything
 //! for the deterministic collect path, [`CappedSink`] stops the run
@@ -20,7 +23,7 @@
 //!
 //! # Determinism
 //!
-//! The collect path ([`mine_engine`]) is **bit-identical** to the sequential
+//! The collect path ([`MineRequest::collect`]) is **bit-identical** to the sequential
 //! miner at every thread count, including under
 //! [`max_clusters`](crate::MiningParams::max_clusters):
 //!
@@ -64,7 +67,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use regcluster_matrix::{CondId, ExpressionMatrix};
+use regcluster_matrix::CondId;
 
 use crate::checkpoint::{
     matrix_fingerprint, CheckpointPlan, CheckpointReport, EngineCheckpoint, PendingMember,
@@ -74,12 +77,12 @@ use crate::intern::{ClusterView, EmittedSet};
 use crate::miner::{finalize, Dir, EmitOutcome, Member, Miner};
 use crate::observer::{MineObserver, MiningStats, NoopObserver, PruneRule, SyncMineObserver};
 use crate::scratch::{ChildBuf, NodeScratch};
-use crate::{CoreError, MiningParams, RegCluster};
+use crate::{CoreError, RegCluster};
 
-/// Default local-deque length above which a worker offers subtrees to idle
-/// peers. Small enough to feed starving workers quickly, large enough that a
+/// Local-deque length above which a worker offers subtrees to idle peers.
+/// Small enough to feed starving workers quickly, large enough that a
 /// worker keeps a cache-warm runway of its own.
-pub const DEFAULT_SPILL_THRESHOLD: usize = 4;
+const SPILL_THRESHOLD: usize = 4;
 
 /// Acquires a mutex, ignoring poisoning: engine state stays usable after a
 /// worker panic so the run can shut down and report the panic instead of
@@ -88,69 +91,18 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How the enumeration tree is divided among workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitStrategy {
-    /// Workers spill pending subtrees at any depth to idle peers (default).
-    WorkStealing,
-    /// Only whole root subtrees are distributed; no mid-tree splitting.
-    /// This reproduces the pre-engine `mine_parallel` behavior and exists
-    /// for benchmarking the work-stealing gain.
-    StaticRoots,
-}
-
-/// Tuning knobs for a parallel mining run.
+/// The worker count of a [`mine_prepared_to_sink`] /
+/// [`mine_prepared_roots_to_sink`] run.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Number of worker threads (≥ 1).
     pub threads: usize,
-    /// Local-deque length above which a worker spills subtrees to idle
-    /// peers. Ignored under [`SplitStrategy::StaticRoots`].
-    pub spill_threshold: usize,
-    /// Tree-splitting strategy.
-    pub split: SplitStrategy,
 }
 
 impl EngineConfig {
-    /// A work-stealing configuration with `threads` workers and the default
-    /// spill threshold.
+    /// A configuration with `threads` workers.
     pub fn new(threads: usize) -> Self {
-        EngineConfig {
-            threads,
-            spill_threshold: DEFAULT_SPILL_THRESHOLD,
-            split: SplitStrategy::WorkStealing,
-        }
-    }
-
-    /// Replaces the spill threshold.
-    #[must_use]
-    pub fn with_spill_threshold(mut self, spill_threshold: usize) -> Self {
-        self.spill_threshold = spill_threshold;
-        self
-    }
-
-    /// Replaces the split strategy.
-    #[must_use]
-    pub fn with_split(mut self, split: SplitStrategy) -> Self {
-        self.split = split;
-        self
-    }
-
-    fn validate(&self) -> Result<(), CoreError> {
-        if self.threads == 0 {
-            return Err(CoreError::InvalidParams("threads must be ≥ 1".into()));
-        }
-        Ok(())
-    }
-}
-
-impl Default for EngineConfig {
-    /// One worker per available CPU.
-    fn default() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        EngineConfig::new(threads)
+        EngineConfig { threads }
     }
 }
 
@@ -244,8 +196,9 @@ impl ClusterSink for VecSink {
 /// Collects up to `cap` clusters, then stops the run cooperatively.
 ///
 /// *Which* clusters make the cut depends on worker scheduling; use the
-/// collect path with [`MiningParams::max_clusters`] when the capped subset
-/// must be deterministic.
+/// collect path with
+/// [`MiningParams::max_clusters`](crate::MiningParams::max_clusters) when
+/// the capped subset must be deterministic.
 #[derive(Debug)]
 pub struct CappedSink {
     cap: usize,
@@ -386,99 +339,175 @@ pub struct StreamReport {
     pub stopped_by_sink: bool,
 }
 
-/// Mines `matrix` with the work-stealing engine, collecting everything.
+/// One run of the work-stealing engine: the single entry point every
+/// caller — library, CLI pipeline, cluster worker, benches — goes through.
 ///
-/// Bit-identical to [`mine`](crate::mine) at every thread count.
+/// A request names a prepared [`Miner`] (building the `RWave^γ` models is
+/// a pipeline phase of its own, so callers time it separately), the roots
+/// to enumerate, the worker count, and optionally a [`MineControl`], a
+/// thread-safe observer and a [`CheckpointPlan`]. [`run`](Self::run)
+/// delivers every fresh cluster into a sink; [`collect`](Self::collect)
+/// gathers and finalizes them.
 ///
-/// # Errors
+/// ```
+/// use regcluster_core::{MineRequest, Miner, MiningParams};
 ///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or
-/// configuration and [`CoreError::WorkerPanic`] if a worker panicked.
-pub fn mine_engine(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    config: &EngineConfig,
-) -> Result<MineReport, CoreError> {
-    mine_engine_with(matrix, params, config, &MineControl::new(), &NoopObserver)
+/// let m = regcluster_matrix::ExpressionMatrix::from_flat_unlabeled(
+///     3, 4, vec![1.0, 2.0, 4.0, 3.0, 2.0, 3.0, 5.0, 4.0, 0.0, 1.0, 3.0, 2.0],
+/// ).unwrap();
+/// let params = MiningParams::new(2, 3, 0.1, 0.5).unwrap();
+/// let miner = Miner::new(&m, &params).unwrap();
+/// let (report, _) = MineRequest::new(&miner).threads(2).collect().unwrap();
+/// assert_eq!(report.clusters, regcluster_core::mine(&m, &params).unwrap());
+/// ```
+pub struct MineRequest<'a, 'm> {
+    miner: &'a Miner<'m>,
+    roots: Option<&'a [CondId]>,
+    threads: usize,
+    control: MineControl,
+    observer: &'a dyn SyncMineObserver,
+    checkpoint: Option<CheckpointPlan<'a>>,
 }
 
-/// Like [`mine_engine`], with a cancellation handle and a thread-safe
-/// observer receiving every enumeration event.
-///
-/// A run stopped through `control` returns `Ok` with
-/// [`MineReport::truncated`] set (use [`MineReport::into_result`] to treat
-/// that as [`CoreError::Cancelled`]); partial clusters and stats cover the
-/// subtrees completed before the stop.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or
-/// configuration and [`CoreError::WorkerPanic`] if a worker or the observer
-/// panicked.
-pub fn mine_engine_with(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-) -> Result<MineReport, CoreError> {
-    config.validate()?;
-    let miner = Miner::new(matrix, params)?;
-    let sink = VecSink::new();
-    let outcome = run(
-        &miner,
-        matrix.n_conditions(),
-        config,
-        control,
-        observer,
-        &sink,
-    )?;
-    let mut clusters = sink.into_clusters();
-    finalize(&mut clusters, params);
-    Ok(MineReport {
-        clusters,
-        stats: outcome.stats,
-        truncated: outcome.truncated,
-    })
+impl<'a, 'm> MineRequest<'a, 'm> {
+    /// A one-worker run over every root, without cancellation, observer or
+    /// checkpoints.
+    pub fn new(miner: &'a Miner<'m>) -> Self {
+        MineRequest {
+            miner,
+            roots: None,
+            threads: 1,
+            control: MineControl::new(),
+            observer: &NoopObserver,
+            checkpoint: None,
+        }
+    }
+
+    /// Enumerates **only the subtrees rooted at `roots`** — the delta and
+    /// lease paths. The clusters delivered are exactly those a full run
+    /// emits with `chain[0]` in `roots` (subtree outputs are disjoint by
+    /// root; see the [`delta`](crate::delta) module docs). Duplicates are
+    /// ignored. A resumed run ignores the roots and completes the
+    /// checkpoint's own frontier, so resume only a checkpoint taken for
+    /// the same roots.
+    #[must_use]
+    pub fn roots(mut self, roots: &'a [CondId]) -> Self {
+        self.roots = Some(roots);
+        self
+    }
+
+    /// Runs `threads` workers (≥ 1).
+    #[must_use]
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Stops the run at the next enumeration node once `control` is
+    /// cancelled or past its deadline; the report is then `truncated`.
+    #[must_use]
+    pub fn control(mut self, control: &MineControl) -> Self {
+        self.control = control.clone();
+        self
+    }
+
+    /// Reports every enumeration event to `observer`.
+    #[must_use]
+    pub fn observer(mut self, observer: &'a dyn SyncMineObserver) -> Self {
+        self.observer = observer;
+        self
+    }
+
+    /// Snapshots the enumeration frontier to the plan's
+    /// [`CheckpointSink`](crate::checkpoint::CheckpointSink) periodically
+    /// (when [`CheckpointPlan::every`] is set) and on every early shutdown,
+    /// and optionally resumes from [`CheckpointPlan::resume`]. Resuming
+    /// first replays the checkpoint's emitted clusters into the sink, so
+    /// the sink receives the complete set; stats cover only this call's
+    /// work.
+    #[must_use]
+    pub fn checkpoint(mut self, plan: CheckpointPlan<'a>) -> Self {
+        self.checkpoint = Some(plan);
+        self
+    }
+
+    /// Runs the request, delivering every fresh cluster to `sink` as it is
+    /// found. The clusters are exactly the deduplicated emission set but
+    /// **not** finalized: order is nondeterministic and neither
+    /// `maximal_only` nor `max_clusters` is applied — capping is the
+    /// sink's job ([`CappedSink`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParams`] for a zero thread count or a root
+    /// outside the matrix's conditions, [`CoreError::Checkpoint`] when the
+    /// resume checkpoint does not match this run or a snapshot cannot be
+    /// persisted, and [`CoreError::WorkerPanic`] if a worker, the observer
+    /// or the sink panicked — after flushing a final checkpoint
+    /// (best-effort) that still covers the panicking node's subtree.
+    pub fn run(
+        self,
+        sink: &dyn ClusterSink,
+    ) -> Result<(StreamReport, CheckpointReport), CoreError> {
+        if self.threads == 0 {
+            return Err(CoreError::InvalidParams("threads must be ≥ 1".into()));
+        }
+        let n_roots = self.miner.n_conditions();
+        let subset = match self.roots {
+            Some(roots) => {
+                if let Some(&bad) = roots.iter().find(|&&r| r >= n_roots) {
+                    return Err(CoreError::InvalidParams(format!(
+                        "root condition {bad} out of range (matrix has {n_roots} conditions)"
+                    )));
+                }
+                let mut subset = roots.to_vec();
+                subset.sort_unstable();
+                subset.dedup();
+                Some(subset)
+            }
+            None => None,
+        };
+        execute(
+            self.miner,
+            subset.as_deref(),
+            self.threads,
+            &self.control,
+            self.observer,
+            sink,
+            self.checkpoint,
+        )
+    }
+
+    /// Runs the request into a collecting sink and finalizes the result
+    /// (canonical order, `maximal_only`, `max_clusters`): **bit-identical**
+    /// to [`mine`](crate::mine) at every thread count for a complete run,
+    /// and — resumed from a checkpoint — to an uninterrupted run.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn collect(self) -> Result<(MineReport, CheckpointReport), CoreError> {
+        let params = self.miner.params();
+        let sink = VecSink::new();
+        let (report, ck_report) = self.run(&sink)?;
+        let mut clusters = sink.into_clusters();
+        finalize(&mut clusters, params);
+        Ok((
+            MineReport {
+                clusters,
+                stats: report.stats,
+                truncated: report.truncated,
+            },
+            ck_report,
+        ))
+    }
 }
 
-/// Mines `matrix`, delivering every fresh cluster to `sink` as it is found.
-///
-/// The clusters reaching the sink are exactly the deduplicated emission set
-/// (for complete runs, the same set [`mine_engine`] collects) but **not**
-/// finalized: order is nondeterministic and neither `maximal_only` nor
-/// `max_clusters` from `params` is applied — capping is the sink's job
-/// ([`CappedSink`]).
+/// [`MineRequest`] over every root, delivering into `sink`.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or
-/// configuration and [`CoreError::WorkerPanic`] if a worker, the observer,
-/// or the sink panicked.
-pub fn mine_to_sink(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-    sink: &dyn ClusterSink,
-) -> Result<StreamReport, CoreError> {
-    let miner = Miner::new(matrix, params)?;
-    mine_prepared_to_sink(&miner, config, control, observer, sink)
-}
-
-/// As [`mine_to_sink`], but running an already-constructed [`Miner`].
-///
-/// Building the `RWave^γ` models ([`Miner::new`]) is a distinct pipeline
-/// phase from the enumeration itself; callers that time or report the two
-/// separately (the CLI's phase spans, see `docs/OBSERVABILITY.md`)
-/// construct the miner themselves and enter here.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for an invalid configuration and
-/// [`CoreError::WorkerPanic`] if a worker, the observer, or the sink
-/// panicked.
+/// As [`MineRequest::run`].
 pub fn mine_prepared_to_sink(
     miner: &Miner<'_>,
     config: &EngineConfig,
@@ -486,32 +515,16 @@ pub fn mine_prepared_to_sink(
     observer: &dyn SyncMineObserver,
     sink: &dyn ClusterSink,
 ) -> Result<StreamReport, CoreError> {
-    config.validate()?;
-    let outcome = run(miner, miner.n_conditions(), config, control, observer, sink)?;
-    Ok(StreamReport {
-        stats: outcome.stats,
-        truncated: outcome.truncated,
-        stopped_by_sink: outcome.stopped_by_sink,
-    })
+    let request = MineRequest::new(miner).threads(config.threads);
+    Ok(request.control(control).observer(observer).run(sink)?.0)
 }
 
-/// As [`mine_prepared_to_sink`], but enumerating **only the subtrees rooted
-/// at the given conditions** — the delta-mining path
-/// ([`delta`](crate::delta)): after
-/// [`classify_roots`](crate::delta::classify_roots) marks which roots are
-/// dirty, this re-mines exactly those subtrees while the unchanged roots'
-/// clusters are spliced from the previous run.
-///
-/// The clusters delivered to `sink` are exactly the clusters a full run
-/// emits with `chain[0]` in `roots` (subtree outputs are disjoint by root;
-/// see the [`delta`](crate::delta) module docs for why). Duplicate entries
-/// in `roots` are ignored.
+/// [`MineRequest`] over the subtrees rooted at `roots`, delivering into
+/// `sink`.
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidParams`] for an invalid configuration or a root
-/// outside the matrix's conditions, and [`CoreError::WorkerPanic`] if a
-/// worker, the observer, or the sink panicked.
+/// As [`MineRequest::run`].
 pub fn mine_prepared_roots_to_sink(
     miner: &Miner<'_>,
     roots: &[CondId],
@@ -520,184 +533,8 @@ pub fn mine_prepared_roots_to_sink(
     observer: &dyn SyncMineObserver,
     sink: &dyn ClusterSink,
 ) -> Result<StreamReport, CoreError> {
-    config.validate()?;
-    let n_roots = miner.n_conditions();
-    if let Some(&bad) = roots.iter().find(|&&r| r >= n_roots) {
-        return Err(CoreError::InvalidParams(format!(
-            "root condition {bad} out of range (matrix has {n_roots} conditions)"
-        )));
-    }
-    let mut subset: Vec<CondId> = roots.to_vec();
-    subset.sort_unstable();
-    subset.dedup();
-    let outcome = run_checkpointed(
-        miner,
-        n_roots,
-        Some(&subset),
-        config,
-        control,
-        observer,
-        sink,
-        None,
-    )
-    .map(|(outcome, _)| outcome)?;
-    Ok(StreamReport {
-        stats: outcome.stats,
-        truncated: outcome.truncated,
-        stopped_by_sink: outcome.stopped_by_sink,
-    })
-}
-
-/// As [`mine_prepared_roots_to_sink`], with crash-safety: the
-/// roots-subset analogue of [`mine_prepared_to_sink_checkpointed`],
-/// built for distributed workers mining a leased root range
-/// ([`partition_roots`](crate::partition_roots)) that must survive their
-/// own crashes.
-///
-/// A fresh run seeds the frontier with exactly `roots` and checkpoints
-/// per the plan. A resumed run ignores `roots` and completes the
-/// checkpoint's pending frontier instead — the checkpoint *is* the
-/// remaining work, including roots that never left the queue. Callers
-/// holding per-lease checkpoints must therefore only resume a
-/// checkpoint taken for the **same** root subset (the cluster worker
-/// keys checkpoint files by lease range for exactly this reason).
-///
-/// # Errors
-///
-/// As [`mine_prepared_roots_to_sink`] and
-/// [`mine_prepared_to_sink_checkpointed`].
-pub fn mine_prepared_roots_to_sink_checkpointed(
-    miner: &Miner<'_>,
-    roots: &[CondId],
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-    sink: &dyn ClusterSink,
-    plan: CheckpointPlan<'_>,
-) -> Result<(StreamReport, CheckpointReport), CoreError> {
-    config.validate()?;
-    let n_roots = miner.n_conditions();
-    if let Some(&bad) = roots.iter().find(|&&r| r >= n_roots) {
-        return Err(CoreError::InvalidParams(format!(
-            "root condition {bad} out of range (matrix has {n_roots} conditions)"
-        )));
-    }
-    let mut subset: Vec<CondId> = roots.to_vec();
-    subset.sort_unstable();
-    subset.dedup();
-    let (outcome, report) = run_checkpointed(
-        miner,
-        n_roots,
-        Some(&subset),
-        config,
-        control,
-        observer,
-        sink,
-        Some(plan),
-    )?;
-    Ok((
-        StreamReport {
-            stats: outcome.stats,
-            truncated: outcome.truncated,
-            stopped_by_sink: outcome.stopped_by_sink,
-        },
-        report,
-    ))
-}
-
-/// As [`mine_prepared_to_sink`], with crash-safety: snapshots the
-/// enumeration frontier to the plan's
-/// [`CheckpointSink`](crate::checkpoint::CheckpointSink) periodically
-/// (when [`CheckpointPlan::every`] is set) and on every early shutdown,
-/// and optionally resumes an interrupted run from
-/// [`CheckpointPlan::resume`].
-///
-/// Resuming first replays the checkpoint's emitted clusters into `sink`
-/// (so the sink receives the complete set) and then completes the pending
-/// frontier. Stats cover only the work done by *this* call — resumed runs
-/// do not repeat the interrupted run's enumeration effort, which is the
-/// point.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for an invalid configuration,
-/// [`CoreError::Checkpoint`] when the resume checkpoint does not match
-/// this run or a snapshot cannot be persisted, and
-/// [`CoreError::WorkerPanic`] if a worker, the observer, or the sink
-/// panicked — after flushing a final checkpoint (best-effort) that still
-/// covers the panicking node's subtree.
-pub fn mine_prepared_to_sink_checkpointed(
-    miner: &Miner<'_>,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-    sink: &dyn ClusterSink,
-    plan: CheckpointPlan<'_>,
-) -> Result<(StreamReport, CheckpointReport), CoreError> {
-    config.validate()?;
-    let (outcome, report) = run_checkpointed(
-        miner,
-        miner.n_conditions(),
-        None,
-        config,
-        control,
-        observer,
-        sink,
-        Some(plan),
-    )?;
-    Ok((
-        StreamReport {
-            stats: outcome.stats,
-            truncated: outcome.truncated,
-            stopped_by_sink: outcome.stopped_by_sink,
-        },
-        report,
-    ))
-}
-
-/// The checkpointed collect path: like
-/// [`mine_engine_with`] under a [`CheckpointPlan`].
-///
-/// A resumed run collects the checkpoint's emitted clusters plus
-/// everything the completed frontier yields, then finalizes — producing
-/// the **bit-identical** cluster set an uninterrupted [`mine_engine`] run
-/// returns (golden-tested across thread counts in
-/// `crates/core/tests/checkpoint.rs`).
-///
-/// # Errors
-///
-/// As [`mine_prepared_to_sink_checkpointed`].
-pub fn mine_engine_checkpointed(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-    plan: CheckpointPlan<'_>,
-) -> Result<(MineReport, CheckpointReport), CoreError> {
-    config.validate()?;
-    let miner = Miner::new(matrix, params)?;
-    let sink = VecSink::new();
-    let (outcome, report) = run_checkpointed(
-        &miner,
-        matrix.n_conditions(),
-        None,
-        config,
-        control,
-        observer,
-        &sink,
-        Some(plan),
-    )?;
-    let mut clusters = sink.into_clusters();
-    finalize(&mut clusters, params);
-    Ok((
-        MineReport {
-            clusters,
-            stats: outcome.stats,
-            truncated: outcome.truncated,
-        },
-        report,
-    ))
+    let request = MineRequest::new(miner).roots(roots).threads(config.threads);
+    Ok(request.control(control).observer(observer).run(sink)?.0)
 }
 
 /// One enumeration node awaiting expansion on the **shared** queue. Shared
@@ -718,12 +555,6 @@ struct NodeRef {
     chain_len: usize,
     member_start: usize,
     member_len: usize,
-}
-
-struct Outcome {
-    stats: MiningStats,
-    truncated: bool,
-    stopped_by_sink: bool,
 }
 
 /// State shared by all workers of one run.
@@ -763,8 +594,6 @@ struct Shared<'e> {
     sink: &'e dyn ClusterSink,
     observer: &'e dyn SyncMineObserver,
     control: &'e MineControl,
-    spill_threshold: usize,
-    stealing: bool,
 }
 
 impl Shared<'_> {
@@ -811,18 +640,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-fn run(
-    miner: &Miner<'_>,
-    n_roots: usize,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-    sink: &dyn ClusterSink,
-) -> Result<Outcome, CoreError> {
-    run_checkpointed(miner, n_roots, None, config, control, observer, sink, None)
-        .map(|(outcome, _)| outcome)
 }
 
 /// Refuses a resume checkpoint that does not belong to this run: different
@@ -904,17 +721,19 @@ fn snapshot(miner: &Miner<'_>, shared: &Shared<'_>, fingerprint: u64) -> EngineC
     }
 }
 
+/// The engine proper, behind [`MineRequest::run`]: seeds the queue from
+/// the roots (or the resume checkpoint) and runs enumeration legs until the
+/// tree is exhausted or the run stops.
 #[allow(clippy::too_many_arguments)]
-fn run_checkpointed(
+fn execute(
     miner: &Miner<'_>,
-    n_roots: usize,
     roots: Option<&[CondId]>,
-    config: &EngineConfig,
+    threads: usize,
     control: &MineControl,
     observer: &dyn SyncMineObserver,
     sink: &dyn ClusterSink,
     plan: Option<CheckpointPlan<'_>>,
-) -> Result<(Outcome, CheckpointReport), CoreError> {
+) -> Result<(StreamReport, CheckpointReport), CoreError> {
     let (ck_sink, every, resume) = match plan {
         Some(CheckpointPlan {
             sink,
@@ -923,6 +742,7 @@ fn run_checkpointed(
         }) => (Some(sink), every, resume),
         None => (None, None, None),
     };
+    let n_roots = miner.n_conditions();
     let checkpointing = ck_sink.is_some();
     let resumed = resume.is_some();
 
@@ -1002,8 +822,6 @@ fn run_checkpointed(
         sink,
         observer,
         control,
-        spill_threshold: config.spill_threshold.max(1),
-        stealing: config.split == SplitStrategy::WorkStealing,
     };
     // Computed once: snapshots of a large matrix would otherwise re-hash
     // every cell per checkpoint.
@@ -1025,8 +843,8 @@ fn run_checkpointed(
         shared.pause_at = every.and_then(|d| Instant::now().checked_add(d));
         std::thread::scope(|scope| {
             let shared = &shared;
-            let mut handles = Vec::with_capacity(config.threads);
-            for _ in 0..config.threads {
+            let mut handles = Vec::with_capacity(threads);
+            for _ in 0..threads {
                 handles.push(scope.spawn(move || {
                     catch_unwind(AssertUnwindSafe(|| worker(miner, n_roots, shared)))
                         .unwrap_or_else(|payload| {
@@ -1071,7 +889,7 @@ fn run_checkpointed(
                 continue;
             }
         }
-        break Outcome {
+        break StreamReport {
             stats: std::mem::take(&mut stats),
             truncated,
             stopped_by_sink,
@@ -1353,13 +1171,10 @@ fn maybe_spill(
     chain_arena: &[CondId],
     member_arena: &[Member],
 ) {
-    if !shared.stealing
-        || local.len() <= shared.spill_threshold
-        || shared.waiting.load(Ordering::Relaxed) == 0
-    {
+    if local.len() <= SPILL_THRESHOLD || shared.waiting.load(Ordering::Relaxed) == 0 {
         return;
     }
-    let surplus = local.len() - shared.spill_threshold;
+    let surplus = local.len() - SPILL_THRESHOLD;
     {
         let mut queue = lock(&shared.queue);
         for _ in 0..surplus {
@@ -1408,12 +1223,22 @@ fn steal_or_wait(shared: &Shared<'_>) -> Option<Task> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MiningParams;
+    use regcluster_matrix::ExpressionMatrix;
 
     #[test]
-    fn config_validates_threads() {
-        assert!(EngineConfig::new(0).validate().is_err());
-        assert!(EngineConfig::new(1).validate().is_ok());
-        assert!(EngineConfig::default().threads >= 1);
+    fn request_rejects_roots_outside_the_matrix() {
+        let m = ExpressionMatrix::from_flat_unlabeled(2, 3, vec![1.0, 2.0, 3.0, 2.0, 3.0, 4.0])
+            .unwrap();
+        let params = MiningParams::new(2, 2, 0.1, 0.5).unwrap();
+        let miner = Miner::new(&m, &params).unwrap();
+        let sink = VecSink::new();
+        let outside = MineRequest::new(&miner).roots(&[3]).run(&sink);
+        assert!(matches!(outside, Err(CoreError::InvalidParams(_))));
+        assert!(MineRequest::new(&miner)
+            .roots(&[2, 0, 2])
+            .run(&sink)
+            .is_ok());
     }
 
     #[test]

@@ -80,17 +80,13 @@ pub use checkpoint::{
 pub use cluster::{RegCluster, ValidationError};
 pub use delta::{classify_roots, gene_fingerprints, root_fingerprints, DeltaPlan};
 pub use engine::{
-    mine_engine, mine_engine_checkpointed, mine_engine_with, mine_prepared_roots_to_sink,
-    mine_prepared_roots_to_sink_checkpointed, mine_prepared_to_sink,
-    mine_prepared_to_sink_checkpointed, mine_to_sink, CappedSink, ClusterSink, EngineConfig,
-    MineControl, MineReport, SplitStrategy, StreamReport, StreamingSink, VecSink,
+    mine_prepared_roots_to_sink, mine_prepared_to_sink, CappedSink, ClusterSink, EngineConfig,
+    MineControl, MineReport, MineRequest, StreamReport, StreamingSink, VecSink,
 };
 pub use engine_api::{BiclusterEngine, EngineReport};
 pub use error::CoreError;
 pub use metrics::MetricsObserver;
-pub use miner::{
-    finalize_clusters, mine, mine_containing, mine_parallel, mine_with_observer, Miner,
-};
+pub use miner::{finalize_clusters, mine, mine_containing, mine_with_observer, Miner};
 pub use observer::{
     MineObserver, MiningStats, NoopObserver, PruneRule, SyncMineObserver, TraceEvent, TraceObserver,
 };

@@ -743,13 +743,13 @@ pub(crate) fn finalize(out: &mut Vec<RegCluster>, params: &MiningParams) {
 
 /// Canonicalizes a raw emission set the way the collect path does:
 /// `maximal_only` post-filter, canonical sort (chain, then members), then the
-/// `max_clusters` truncation. Sink-mode consumers ([`mine_to_sink`]
+/// `max_clusters` truncation. Sink-mode consumers ([`MineRequest::run`]
 /// delivers clusters unfinalized, in nondeterministic order) call this to
-/// obtain output bit-identical to [`mine`] / [`mine_engine`] for a complete
-/// run.
+/// obtain output bit-identical to [`mine`] / [`MineRequest::collect`] for a
+/// complete run.
 ///
-/// [`mine_to_sink`]: crate::engine::mine_to_sink
-/// [`mine_engine`]: crate::engine::mine_engine
+/// [`MineRequest::run`]: crate::engine::MineRequest::run
+/// [`MineRequest::collect`]: crate::engine::MineRequest::collect
 pub fn finalize_clusters(clusters: &mut Vec<RegCluster>, params: &MiningParams) {
     finalize(clusters, params);
 }
@@ -806,32 +806,10 @@ pub fn mine_containing(
     Ok(miner.mine_containing(gene, &mut NoopObserver))
 }
 
-/// Mines with the enumeration tree shared across `n_threads` worker threads
-/// through the work-stealing [`engine`](crate::engine).
-///
-/// Workers split subtrees at any depth (not just at the roots), so a single
-/// heavy root no longer serializes the run. The merged result is
-/// **bit-identical** to [`mine`]'s — including under `max_clusters` — and
-/// worker panics surface as [`CoreError::WorkerPanic`] instead of aborting
-/// the process (asserted by tests).
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or a zero
-/// thread count, and [`CoreError::WorkerPanic`] if a worker panicked.
-pub fn mine_parallel(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    n_threads: usize,
-) -> Result<Vec<RegCluster>, CoreError> {
-    let config = crate::engine::EngineConfig::new(n_threads);
-    let report = crate::engine::mine_engine(matrix, params, &config)?;
-    Ok(report.clusters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MineRequest;
     use crate::observer::{PruneRule, TraceObserver};
 
     /// Table 1 of the paper.
@@ -1007,9 +985,10 @@ mod tests {
         for (min_g, min_c, gamma, eps) in [(3, 5, 0.15, 0.1), (2, 3, 0.05, 0.5), (2, 2, 0.0, 0.2)] {
             let params = MiningParams::new(min_g, min_c, gamma, eps).unwrap();
             let seq = mine(&m, &params).unwrap();
+            let miner = Miner::new(&m, &params).unwrap();
             for threads in [1, 2, 4] {
-                let par = mine_parallel(&m, &params, threads).unwrap();
-                assert_eq!(seq, par, "threads={threads} params={params:?}");
+                let (par, _) = MineRequest::new(&miner).threads(threads).collect().unwrap();
+                assert_eq!(seq, par.clusters, "threads={threads} params={params:?}");
             }
         }
     }
@@ -1018,7 +997,8 @@ mod tests {
     fn parallel_rejects_zero_threads() {
         let m = running_example();
         let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-        assert!(mine_parallel(&m, &params, 0).is_err());
+        let miner = Miner::new(&m, &params).unwrap();
+        assert!(MineRequest::new(&miner).threads(0).collect().is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use regcluster_core::bitset::{
     from_indices, indices, intersect_into, popcount, words_for, BitMask, WORD_BITS,
 };
-use regcluster_core::{mine, mine_parallel, MiningParams};
+use regcluster_core::{mine, MineRequest, Miner, MiningParams};
 use regcluster_datagen::{generate, SyntheticConfig};
 
 /// Bit counts at and around the `u64` word boundaries.
@@ -163,8 +163,15 @@ fn mining_agrees_across_word_boundary_widths() {
         let data = generate(&cfg).expect("generator config is feasible");
         let params = MiningParams::new(3, 6, 0.1, 0.01).expect("valid params");
         let seq = mine(&data.matrix, &params).expect("sequential mine");
-        let par = mine_parallel(&data.matrix, &params, 4).expect("parallel mine");
-        assert_eq!(seq, par, "sequential ≡ parallel at #cond = {n_conds}");
+        let miner = Miner::new(&data.matrix, &params).expect("valid params");
+        let (par, _) = MineRequest::new(&miner)
+            .threads(4)
+            .collect()
+            .expect("parallel mine");
+        assert_eq!(
+            seq, par.clusters,
+            "sequential ≡ parallel at #cond = {n_conds}"
+        );
         for c in &seq {
             c.validate(&data.matrix, &params)
                 .expect("mined cluster re-validates against the raw matrix");

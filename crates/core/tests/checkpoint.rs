@@ -13,8 +13,9 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Duration;
 
 use regcluster_core::{
-    mine_engine, mine_engine_checkpointed, CheckpointPlan, EngineCheckpoint, EngineConfig,
-    MemoryCheckpointSink, MineControl, MiningParams, NoopObserver, RegCluster, SyncMineObserver,
+    CheckpointPlan, CheckpointReport, CoreError, EngineCheckpoint, MemoryCheckpointSink,
+    MineControl, MineReport, MineRequest, Miner, MiningParams, NoopObserver, RegCluster,
+    SyncMineObserver,
 };
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
@@ -71,13 +72,38 @@ fn synthetic_dataset() -> (ExpressionMatrix, MiningParams) {
     (data.matrix, MiningParams::new(4, 4, 0.1, 0.05).unwrap())
 }
 
+/// A checkpointed collect over every root of `matrix`.
+fn collect_checkpointed(
+    matrix: &ExpressionMatrix,
+    params: &MiningParams,
+    threads: usize,
+    control: &MineControl,
+    observer: &dyn SyncMineObserver,
+    plan: CheckpointPlan<'_>,
+) -> Result<(MineReport, CheckpointReport), CoreError> {
+    let miner = Miner::new(matrix, params)?;
+    let request = MineRequest::new(&miner).threads(threads).control(control);
+    request.observer(observer).checkpoint(plan).collect()
+}
+
+/// The golden result of an uninterrupted run.
+fn golden(matrix: &ExpressionMatrix, params: &MiningParams) -> Vec<RegCluster> {
+    let miner = Miner::new(matrix, params).unwrap();
+    MineRequest::new(&miner)
+        .threads(2)
+        .collect()
+        .unwrap()
+        .0
+        .clusters
+}
+
 /// Mines to completion through repeated interrupt → checkpoint → resume
 /// cycles, cancelling after `budget` fresh emissions each round, and
 /// returns the final collected set plus the number of interruptions.
 fn mine_through_interrupts(
     matrix: &ExpressionMatrix,
     params: &MiningParams,
-    config: &EngineConfig,
+    threads: usize,
     budget: i64,
 ) -> (Vec<RegCluster>, usize) {
     let mut resume: Option<EngineCheckpoint> = None;
@@ -91,7 +117,7 @@ fn mine_through_interrupts(
             plan = plan.with_resume(ck);
         }
         let (report, ck_report) =
-            mine_engine_checkpointed(matrix, params, config, &control, &observer, plan)
+            collect_checkpointed(matrix, params, threads, &control, &observer, plan)
                 .expect("checkpointed mining succeeds");
         assert_eq!(ck_report.resumed, interrupts > 0);
         if !report.truncated {
@@ -117,18 +143,15 @@ fn interrupt_resume_is_bit_identical_across_thread_counts() {
         ("running_example", running_dataset()),
         ("synthetic", synthetic_dataset()),
     ] {
-        let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-            .unwrap()
-            .clusters;
+        let reference = golden(&matrix, &params);
         assert!(
             !reference.is_empty(),
             "{name}: golden set must be non-empty"
         );
         for threads in 1..=8 {
-            let config = EngineConfig::new(threads);
             for budget in [1, 2] {
                 let (clusters, interrupts) =
-                    mine_through_interrupts(&matrix, &params, &config, budget);
+                    mine_through_interrupts(&matrix, &params, threads, budget);
                 assert_eq!(
                     clusters, reference,
                     "{name}: threads={threads} budget={budget} ({interrupts} interrupts)"
@@ -143,16 +166,14 @@ fn periodic_checkpoints_do_not_change_the_result() {
     // `every = ZERO` forces a pause (and a snapshot, and a full worker
     // respawn) after every worker's next node — the most hostile cadence.
     let (matrix, params) = running_dataset();
-    let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-        .unwrap()
-        .clusters;
+    let reference = golden(&matrix, &params);
     for threads in [1usize, 2, 4] {
         let ck_sink = MemoryCheckpointSink::new();
         let plan = CheckpointPlan::new(&ck_sink).with_every(Duration::ZERO);
-        let (report, ck_report) = mine_engine_checkpointed(
+        let (report, ck_report) = collect_checkpointed(
             &matrix,
             &params,
-            &EngineConfig::new(threads),
+            threads,
             &MineControl::new(),
             &NoopObserver,
             plan,
@@ -170,15 +191,13 @@ fn periodic_checkpoints_do_not_change_the_result() {
     // A coarser cadence on the synthetic dataset, where legs actually carry
     // several nodes each.
     let (matrix, params) = synthetic_dataset();
-    let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-        .unwrap()
-        .clusters;
+    let reference = golden(&matrix, &params);
     let ck_sink = MemoryCheckpointSink::new();
     let plan = CheckpointPlan::new(&ck_sink).with_every(Duration::from_micros(200));
-    let (report, _) = mine_engine_checkpointed(
+    let (report, _) = collect_checkpointed(
         &matrix,
         &params,
-        &EngineConfig::new(4),
+        4,
         &MineControl::new(),
         &NoopObserver,
         plan,
@@ -192,10 +211,10 @@ fn periodic_checkpoints_do_not_change_the_result() {
 fn completed_run_writes_no_checkpoint() {
     let (matrix, params) = running_dataset();
     let ck_sink = MemoryCheckpointSink::new();
-    let (report, ck_report) = mine_engine_checkpointed(
+    let (report, ck_report) = collect_checkpointed(
         &matrix,
         &params,
-        &EngineConfig::new(2),
+        2,
         &MineControl::new(),
         &NoopObserver,
         CheckpointPlan::new(&ck_sink),
@@ -212,10 +231,10 @@ fn interrupted_checkpoint(matrix: &ExpressionMatrix, params: &MiningParams) -> E
     let ck_sink = MemoryCheckpointSink::new();
     let control = MineControl::new();
     let observer = CancelAfterEmissions::new(control.clone(), 1);
-    let (report, _) = mine_engine_checkpointed(
+    let (report, _) = collect_checkpointed(
         matrix,
         params,
-        &EngineConfig::new(2),
+        2,
         &control,
         &observer,
         CheckpointPlan::new(&ck_sink),
@@ -233,10 +252,10 @@ fn resume_refuses_mismatched_runs() {
     let expect_refusal =
         |ck: EngineCheckpoint, matrix: &ExpressionMatrix, params: &MiningParams| {
             let sink = MemoryCheckpointSink::new();
-            let err = mine_engine_checkpointed(
+            let err = collect_checkpointed(
                 matrix,
                 params,
-                &EngineConfig::new(2),
+                2,
                 &MineControl::new(),
                 &NoopObserver,
                 CheckpointPlan::new(&sink).with_resume(ck),
@@ -281,10 +300,10 @@ fn resume_refuses_mismatched_runs() {
 
     // The pristine checkpoint still resumes fine against the right inputs.
     let sink = MemoryCheckpointSink::new();
-    let (report, ck_report) = mine_engine_checkpointed(
+    let (report, ck_report) = collect_checkpointed(
         &matrix,
         &params,
-        &EngineConfig::new(2),
+        2,
         &MineControl::new(),
         &NoopObserver,
         CheckpointPlan::new(&sink).with_resume(ck),

@@ -8,9 +8,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use regcluster_core::{
-    mine, mine_engine, mine_engine_with, mine_to_sink, CappedSink, CoreError, EngineConfig,
-    MineControl, MiningParams, MiningStats, NoopObserver, RegCluster, SplitStrategy, StreamingSink,
-    SyncMineObserver, VecSink,
+    mine, CappedSink, CoreError, MineControl, MineReport, MineRequest, Miner, MiningParams,
+    MiningStats, RegCluster, StreamingSink, SyncMineObserver, VecSink,
 };
 use regcluster_matrix::ExpressionMatrix;
 
@@ -48,10 +47,16 @@ fn running_example() -> (ExpressionMatrix, MiningParams) {
     (m, params)
 }
 
+/// Collects a request over every root at `threads` workers.
+fn collect(m: &ExpressionMatrix, params: &MiningParams, threads: usize) -> MineReport {
+    let miner = Miner::new(m, params).expect("valid params");
+    let request = MineRequest::new(&miner).threads(threads);
+    request.collect().expect("engine succeeds").0
+}
+
 proptest! {
     /// Engine output is bit-identical to the sequential miner for every
-    /// thread count, with and without a cluster cap, under both split
-    /// strategies.
+    /// thread count, with and without a cluster cap.
     #[test]
     fn engine_matches_sequential_across_thread_counts(
         (m, params) in matrix_strategy(),
@@ -63,14 +68,9 @@ proptest! {
         };
         let seq = mine(&m, &params).expect("sequential mining succeeds");
         for threads in [1usize, 2, 4, 8] {
-            let config = EngineConfig::new(threads);
-            let report = mine_engine(&m, &params, &config).expect("engine succeeds");
+            let report = collect(&m, &params, threads);
             prop_assert!(!report.truncated);
             prop_assert_eq!(&report.clusters, &seq, "threads = {}", threads);
-
-            let static_cfg = config.clone().with_split(SplitStrategy::StaticRoots);
-            let report = mine_engine(&m, &params, &static_cfg).expect("engine succeeds");
-            prop_assert_eq!(&report.clusters, &seq, "static roots, threads = {}", threads);
         }
     }
 
@@ -83,8 +83,7 @@ proptest! {
         regcluster_core::mine_with_observer(&m, &params, &mut seq_stats)
             .expect("sequential mining succeeds");
         for threads in [1usize, 2, 4, 8] {
-            let report = mine_engine(&m, &params, &EngineConfig::new(threads))
-                .expect("engine succeeds");
+            let report = collect(&m, &params, threads);
             prop_assert_eq!(&report.stats, &seq_stats, "threads = {}", threads);
         }
     }
@@ -95,15 +94,11 @@ proptest! {
     #[test]
     fn sink_streams_the_full_cluster_set((m, params) in matrix_strategy()) {
         let sink = VecSink::new();
-        let stream = mine_to_sink(
-            &m,
-            &params,
-            &EngineConfig::new(4),
-            &MineControl::new(),
-            &NoopObserver,
-            &sink,
-        )
-        .expect("streaming succeeds");
+        let miner = Miner::new(&m, &params).expect("valid params");
+        let (stream, _) = MineRequest::new(&miner)
+            .threads(4)
+            .run(&sink)
+            .expect("streaming succeeds");
         prop_assert!(!stream.truncated);
         prop_assert!(!stream.stopped_by_sink);
         let mut streamed = sink.into_clusters();
@@ -125,7 +120,7 @@ proptest! {
 fn engine_finds_running_example_on_every_thread_count() {
     let (m, params) = running_example();
     for threads in [1usize, 2, 4, 8] {
-        let report = mine_engine(&m, &params, &EngineConfig::new(threads)).unwrap();
+        let report = collect(&m, &params, threads);
         assert_eq!(report.clusters.len(), 1, "threads = {threads}");
         let c = &report.clusters[0];
         assert_eq!(c.chain, vec![6, 8, 4, 0, 2]);
@@ -146,15 +141,13 @@ impl SyncMineObserver for PanickingObserver {
 #[test]
 fn panicking_observer_surfaces_as_worker_panic_error() {
     let (m, params) = running_example();
+    let miner = Miner::new(&m, &params).unwrap();
     for threads in [1usize, 4] {
-        let err = mine_engine_with(
-            &m,
-            &params,
-            &EngineConfig::new(threads),
-            &MineControl::new(),
-            &PanickingObserver,
-        )
-        .expect_err("worker panic must surface as an error");
+        let err = MineRequest::new(&miner)
+            .threads(threads)
+            .observer(&PanickingObserver)
+            .collect()
+            .expect_err("worker panic must surface as an error");
         match err {
             CoreError::WorkerPanic(msg) => {
                 assert!(msg.contains("observer exploded"), "{msg}")
@@ -167,8 +160,12 @@ fn panicking_observer_surfaces_as_worker_panic_error() {
 #[test]
 fn zero_deadline_reports_truncation_without_panicking() {
     let (m, params) = running_example();
+    let miner = Miner::new(&m, &params).unwrap();
     let control = MineControl::with_deadline(Duration::ZERO);
-    let report = mine_engine_with(&m, &params, &EngineConfig::new(4), &control, &NoopObserver)
+    let (report, _) = MineRequest::new(&miner)
+        .threads(4)
+        .control(&control)
+        .collect()
         .expect("an expired deadline is not an engine error");
     assert!(report.truncated);
     assert!(report.clusters.is_empty());
@@ -181,10 +178,11 @@ fn zero_deadline_reports_truncation_without_panicking() {
 #[test]
 fn cancelled_control_stops_the_run() {
     let (m, params) = running_example();
+    let miner = Miner::new(&m, &params).unwrap();
     let control = MineControl::new();
     control.cancel();
-    let report =
-        mine_engine_with(&m, &params, &EngineConfig::new(2), &control, &NoopObserver).unwrap();
+    let request = MineRequest::new(&miner).threads(2).control(&control);
+    let (report, _) = request.collect().unwrap();
     assert!(report.truncated);
     assert!(report.clusters.is_empty());
 }
@@ -194,16 +192,9 @@ fn capped_sink_stops_mining_cooperatively() {
     let (m, params) = running_example();
     // Cap below the (single) emitted cluster count: one accepted cluster and
     // the engine must stop by sink, not by exhaustion.
+    let miner = Miner::new(&m, &params).unwrap();
     let sink = CappedSink::new(1);
-    let stream = mine_to_sink(
-        &m,
-        &params,
-        &EngineConfig::new(2),
-        &MineControl::new(),
-        &NoopObserver,
-        &sink,
-    )
-    .unwrap();
+    let (stream, _) = MineRequest::new(&miner).threads(2).run(&sink).unwrap();
     assert!(stream.stopped_by_sink);
     assert_eq!(sink.into_clusters().len(), 1);
 }
@@ -211,18 +202,11 @@ fn capped_sink_stops_mining_cooperatively() {
 #[test]
 fn streaming_sink_delivers_clusters_through_a_channel() {
     let (m, params) = running_example();
+    let miner = Miner::new(&m, &params).unwrap();
     let (sink, rx) = StreamingSink::channel(16);
     let stream = std::thread::scope(|scope| {
         let consumer = scope.spawn(move || rx.into_iter().collect::<Vec<_>>());
-        let stream = mine_to_sink(
-            &m,
-            &params,
-            &EngineConfig::new(2),
-            &MineControl::new(),
-            &NoopObserver,
-            &sink,
-        )
-        .unwrap();
+        let (stream, _) = MineRequest::new(&miner).threads(2).run(&sink).unwrap();
         drop(sink);
         let received = consumer.join().unwrap();
         assert_eq!(received.len(), 1);
@@ -236,6 +220,7 @@ fn streaming_sink_delivers_clusters_through_a_channel() {
 #[test]
 fn cancellation_interrupts_a_send_blocked_on_a_stalled_receiver() {
     let (m, params) = running_example();
+    let miner = Miner::new(&m, &params).unwrap();
     let control = MineControl::new();
     // Capacity 0 and a receiver that never drains: the emitting worker
     // blocks inside the sink until the cancellation poll notices the stop.
@@ -248,15 +233,8 @@ fn cancellation_interrupts_a_send_blocked_on_a_stalled_receiver() {
             std::thread::sleep(Duration::from_millis(50));
             canceller.cancel();
         });
-        mine_to_sink(
-            &m,
-            &params,
-            &EngineConfig::new(2),
-            &control,
-            &NoopObserver,
-            &sink,
-        )
-        .unwrap()
+        let request = MineRequest::new(&miner).threads(2).control(&control);
+        request.run(&sink).unwrap().0
     });
     drop(rx);
     assert!(
@@ -295,15 +273,10 @@ impl SyncMineObserver for AtomicCounts {
 #[test]
 fn user_observer_sees_the_same_event_totals_as_the_report() {
     let (m, params) = running_example();
+    let miner = Miner::new(&m, &params).unwrap();
     let counts = AtomicCounts::default();
-    let report = mine_engine_with(
-        &m,
-        &params,
-        &EngineConfig::new(4),
-        &MineControl::new(),
-        &counts,
-    )
-    .unwrap();
+    let request = MineRequest::new(&miner).threads(4).observer(&counts);
+    let (report, _) = request.collect().unwrap();
     assert_eq!(counts.nodes.load(Ordering::Relaxed), report.stats.nodes);
     assert_eq!(counts.emitted.load(Ordering::Relaxed), report.stats.emitted);
     assert_eq!(

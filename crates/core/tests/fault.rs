@@ -11,13 +11,39 @@
 use std::sync::Mutex;
 
 use regcluster_core::{
-    mine_engine, mine_engine_checkpointed, CheckpointPlan, CoreError, EngineConfig,
-    MemoryCheckpointSink, MineControl, MiningParams, NoopObserver,
+    CheckpointPlan, CheckpointReport, CoreError, MemoryCheckpointSink, MineControl, MineReport,
+    MineRequest, Miner, MiningParams, NoopObserver, RegCluster, SyncMineObserver,
 };
 use regcluster_datagen::running_example;
+use regcluster_matrix::ExpressionMatrix;
 
 /// Failpoint state is process-global; tests arming it take this lock.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// A checkpointed collect over every root of `matrix`.
+fn collect_checkpointed(
+    matrix: &ExpressionMatrix,
+    params: &MiningParams,
+    threads: usize,
+    control: &MineControl,
+    observer: &dyn SyncMineObserver,
+    plan: CheckpointPlan<'_>,
+) -> Result<(MineReport, CheckpointReport), CoreError> {
+    let miner = Miner::new(matrix, params)?;
+    let request = MineRequest::new(&miner).threads(threads).control(control);
+    request.observer(observer).checkpoint(plan).collect()
+}
+
+/// The golden result of an uninterrupted run.
+fn golden(matrix: &ExpressionMatrix, params: &MiningParams) -> Vec<RegCluster> {
+    let miner = Miner::new(matrix, params).unwrap();
+    MineRequest::new(&miner)
+        .threads(2)
+        .collect()
+        .unwrap()
+        .0
+        .clusters
+}
 
 #[test]
 fn injected_worker_panic_surfaces_as_worker_panic_error() {
@@ -28,7 +54,10 @@ fn injected_worker_panic_surfaces_as_worker_panic_error() {
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
     for threads in [1usize, 4] {
         regcluster_failpoint::configure("engine::worker=panic@1").unwrap();
-        let err = mine_engine(&matrix, &params, &EngineConfig::new(threads))
+        let miner = Miner::new(&matrix, &params).unwrap();
+        let err = MineRequest::new(&miner)
+            .threads(threads)
+            .collect()
             .expect_err("an injected worker panic must surface");
         regcluster_failpoint::clear();
         match err {
@@ -41,7 +70,8 @@ fn injected_worker_panic_surfaces_as_worker_panic_error() {
     }
     // The run shut down cleanly: a fresh un-instrumented run on the same
     // inputs succeeds (no poisoned global state, no stuck threads).
-    let report = mine_engine(&matrix, &params, &EngineConfig::new(4)).unwrap();
+    let miner = Miner::new(&matrix, &params).unwrap();
+    let (report, _) = MineRequest::new(&miner).threads(4).collect().unwrap();
     assert_eq!(report.clusters.len(), 1);
 }
 
@@ -52,19 +82,17 @@ fn worker_panic_still_flushes_a_resumable_checkpoint() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let matrix = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-    let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-        .unwrap()
-        .clusters;
+    let reference = golden(&matrix, &params);
     for threads in [1usize, 2, 4] {
         // Crash a worker a few nodes into the run. The per-node panic
         // containment must restore the consumed node to the frontier, so
         // the final checkpoint loses no subtree.
         regcluster_failpoint::configure("engine::worker=panic@4").unwrap();
         let ck_sink = MemoryCheckpointSink::new();
-        let err = mine_engine_checkpointed(
+        let err = collect_checkpointed(
             &matrix,
             &params,
-            &EngineConfig::new(threads),
+            threads,
             &MineControl::new(),
             &NoopObserver,
             CheckpointPlan::new(&ck_sink),
@@ -82,10 +110,10 @@ fn worker_panic_still_flushes_a_resumable_checkpoint() {
         // Resuming the crash checkpoint completes to the bit-identical
         // golden result — nothing under the panicking node was lost.
         let resume_sink = MemoryCheckpointSink::new();
-        let (report, ck_report) = mine_engine_checkpointed(
+        let (report, ck_report) = collect_checkpointed(
             &matrix,
             &params,
-            &EngineConfig::new(threads),
+            threads,
             &MineControl::new(),
             &NoopObserver,
             CheckpointPlan::new(&resume_sink).with_resume(ck),
@@ -105,18 +133,18 @@ fn observer_panic_is_contained_per_node_and_checkpointed() {
     // A panic from *user* code (the observer) rides the same containment
     // path as the failpoint: WorkerPanic plus a flushed final snapshot.
     struct ExplodingObserver;
-    impl regcluster_core::SyncMineObserver for ExplodingObserver {
-        fn cluster_emitted(&self, _cluster: &regcluster_core::RegCluster) {
+    impl SyncMineObserver for ExplodingObserver {
+        fn cluster_emitted(&self, _cluster: &RegCluster) {
             panic!("observer exploded");
         }
     }
     let matrix = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
     let ck_sink = MemoryCheckpointSink::new();
-    let err = mine_engine_checkpointed(
+    let err = collect_checkpointed(
         &matrix,
         &params,
-        &EngineConfig::new(2),
+        2,
         &MineControl::new(),
         &ExplodingObserver,
         CheckpointPlan::new(&ck_sink),

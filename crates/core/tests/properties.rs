@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use regcluster_core::rwave::RWaveModel;
-use regcluster_core::{mine, mine_parallel, MiningParams};
+use regcluster_core::{mine, MineRequest, Miner, MiningParams};
 use regcluster_matrix::ExpressionMatrix;
 
 /// A random profile of 2..=12 expression values in [-50, 50].
@@ -164,8 +164,12 @@ proptest! {
     #[test]
     fn parallel_matches_sequential((m, params) in matrix_strategy()) {
         let seq = mine(&m, &params).expect("sequential mining succeeds");
-        let par = mine_parallel(&m, &params, 3).expect("parallel mining succeeds");
-        prop_assert_eq!(seq, par);
+        let miner = Miner::new(&m, &params).expect("valid params");
+        let (par, _) = MineRequest::new(&miner)
+            .threads(3)
+            .collect()
+            .expect("parallel mining succeeds");
+        prop_assert_eq!(seq, par.clusters);
     }
 
     /// Gene-set maximality: if a non-member gene fits an output cluster

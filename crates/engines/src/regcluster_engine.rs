@@ -1,20 +1,20 @@
 //! The reg-cluster miner behind the [`BiclusterEngine`] contract.
 
 use regcluster_core::{
-    mine_prepared_to_sink, BiclusterEngine, ClusterSink, CoreError, EngineConfig, EngineReport,
-    MineControl, Miner, MiningParams, SyncMineObserver,
+    BiclusterEngine, ClusterSink, CoreError, EngineReport, MineControl, MineRequest, Miner,
+    MiningParams, SyncMineObserver,
 };
 use regcluster_matrix::ExpressionMatrix;
 
 /// The paper's shifting-and-scaling miner as an engine.
 ///
-/// This is a thin wrapper over [`Miner`] + [`mine_prepared_to_sink`]: it
+/// This is a thin wrapper over [`Miner`] + [`MineRequest::run`]: it
 /// streams every validated reg-cluster in canonical depth-first order.
 /// The post-filters carried by [`MiningParams`] (`maximal_only`,
 /// `max_clusters`) need the full result set and therefore do **not** apply
 /// on the streaming path — collect and run
 /// [`finalize_clusters`](regcluster_core::finalize_clusters) downstream,
-/// exactly as the CLI's bespoke `mine` path does.
+/// exactly as the CLI's `mine` pipeline does.
 #[derive(Debug, Clone)]
 pub struct RegClusterEngine {
     params: MiningParams,
@@ -59,8 +59,8 @@ impl BiclusterEngine for RegClusterEngine {
         observer: &dyn SyncMineObserver,
     ) -> Result<EngineReport, CoreError> {
         let miner = Miner::new(matrix, &self.params)?;
-        let config = EngineConfig::new(self.threads);
-        let report = mine_prepared_to_sink(&miner, &config, control, observer, sink)?;
+        let request = MineRequest::new(&miner).threads(self.threads);
+        let (report, _) = request.control(control).observer(observer).run(sink)?;
         Ok(EngineReport {
             n_emitted: report.stats.emitted,
             truncated: report.truncated,

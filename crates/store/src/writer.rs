@@ -73,7 +73,7 @@ struct WriterState {
 /// Writes a `.rcs` store as clusters stream in from the mining engine.
 ///
 /// Implements [`ClusterSink`], so it plugs directly into
-/// [`mine_to_sink`](regcluster_core::mine_to_sink): an I/O failure makes
+/// [`MineRequest::run`](regcluster_core::MineRequest::run): an I/O failure makes
 /// `accept` return `false`, which stops the run cooperatively
 /// (`stopped_by_sink`), and the failure itself is returned by
 /// [`finish`](StoreWriter::finish).

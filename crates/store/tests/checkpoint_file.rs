@@ -7,10 +7,11 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 
 use regcluster_core::{
-    mine_engine, mine_engine_checkpointed, CheckpointPlan, CheckpointSink, EngineConfig,
-    MemoryCheckpointSink, MineControl, MiningParams, NoopObserver, RegCluster, SyncMineObserver,
+    CheckpointPlan, CheckpointReport, CheckpointSink, CoreError, MemoryCheckpointSink, MineControl,
+    MineReport, MineRequest, Miner, MiningParams, NoopObserver, RegCluster, SyncMineObserver,
 };
 use regcluster_datagen::running_example;
+use regcluster_matrix::ExpressionMatrix;
 use regcluster_store::{read_checkpoint, CheckpointFile, StoreError, CHECKPOINT_VERSION};
 
 /// Failpoint state is process-global; tests arming it take this lock.
@@ -18,6 +19,31 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Fixed header length of the `.rck` layout (same as `.rcs`).
 const RCK_HEADER_LEN: usize = 32;
+
+/// A checkpointed collect over every root of `matrix`.
+fn collect_checkpointed(
+    matrix: &ExpressionMatrix,
+    params: &MiningParams,
+    threads: usize,
+    control: &MineControl,
+    observer: &dyn SyncMineObserver,
+    plan: CheckpointPlan<'_>,
+) -> Result<(MineReport, CheckpointReport), CoreError> {
+    let miner = Miner::new(matrix, params)?;
+    let request = MineRequest::new(&miner).threads(threads).control(control);
+    request.observer(observer).checkpoint(plan).collect()
+}
+
+/// The golden result of an uninterrupted run.
+fn golden(matrix: &ExpressionMatrix, params: &MiningParams) -> Vec<RegCluster> {
+    let miner = Miner::new(matrix, params).unwrap();
+    MineRequest::new(&miner)
+        .threads(2)
+        .collect()
+        .unwrap()
+        .0
+        .clusters
+}
 
 /// Cancels `control` once `budget` fresh clusters have been emitted.
 struct CancelAfterEmissions {
@@ -48,10 +74,10 @@ fn interrupt_run(sink: &dyn CheckpointSink) {
         control: control.clone(),
         budget: AtomicI64::new(1),
     };
-    let (report, ck_report) = mine_engine_checkpointed(
+    let (report, ck_report) = collect_checkpointed(
         &matrix,
         &params,
-        &EngineConfig::new(2),
+        2,
         &control,
         &observer,
         CheckpointPlan::new(sink),
@@ -67,9 +93,7 @@ fn rck_file_roundtrips_and_resumes_bit_identically() {
     let path = dir.join("run.rck");
     let matrix = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-    let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-        .unwrap()
-        .clusters;
+    let reference = golden(&matrix, &params);
 
     // Interrupt a run that checkpoints straight to disk.
     let file_sink = CheckpointFile::new(&path);
@@ -93,10 +117,10 @@ fn rck_file_roundtrips_and_resumes_bit_identically() {
 
     // Resuming the on-disk snapshot completes to the golden result.
     let resume_sink = CheckpointFile::new(dir.join("resume.rck"));
-    let (report, ck_report) = mine_engine_checkpointed(
+    let (report, ck_report) = collect_checkpointed(
         &matrix,
         &params,
-        &EngineConfig::new(4),
+        4,
         &MineControl::new(),
         &NoopObserver,
         CheckpointPlan::new(&resume_sink).with_resume(from_disk),

@@ -5,16 +5,23 @@
 //! flip test can demand an error for *any* single-byte corruption.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use regcluster_core::{mine, MiningParams};
 use regcluster_datagen::running_example;
 use regcluster_store::{ClusterStore, StoreError, StoreWriter, FORMAT_VERSION};
 
-/// Builds a small valid store and returns its bytes.
+/// Builds a small valid store and returns its bytes. Each call writes its
+/// own file: tests run in parallel, and two writers sharing one path would
+/// race on its `.tmp` scratch file.
 fn valid_store_bytes() -> Vec<u8> {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!("regcluster-corrupt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("victim.rcs");
+    let path = dir.join(format!(
+        "victim-{}.rcs",
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     let m = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
     let clusters = mine(&m, &params).unwrap();

@@ -4,10 +4,7 @@
 
 use std::path::PathBuf;
 
-use regcluster_core::{
-    mine, mine_to_sink, ClusterSink, EngineConfig, MineControl, MiningParams, NoopObserver,
-    RegCluster, SplitStrategy,
-};
+use regcluster_core::{mine, ClusterSink, MineRequest, Miner, MiningParams, RegCluster};
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
 use regcluster_store::{ClusterStore, Query, StoreWriter};
@@ -98,31 +95,24 @@ fn engine_streamed_store_matches_vecsink_at_every_thread_count() {
     let (m, params) = synthetic_100x30();
     // The canonical collect-path result (== finalized VecSink output).
     let expected = mine(&m, &params).unwrap();
+    let miner = Miner::new(&m, &params).unwrap();
     for threads in 1..=8usize {
-        for split in [SplitStrategy::WorkStealing, SplitStrategy::StaticRoots] {
-            let path = tmp(&format!("stream-{threads}-{split:?}.rcs"));
-            let writer =
-                StoreWriter::create(&path, m.gene_names(), m.condition_names(), &params).unwrap();
-            let config = EngineConfig::new(threads).with_split(split);
-            let report = mine_to_sink(
-                &m,
-                &params,
-                &config,
-                &MineControl::new(),
-                &NoopObserver,
-                &writer,
-            )
+        let path = tmp(&format!("stream-{threads}.rcs"));
+        let writer =
+            StoreWriter::create(&path, m.gene_names(), m.condition_names(), &params).unwrap();
+        let (report, _) = MineRequest::new(&miner)
+            .threads(threads)
+            .run(&writer)
             .unwrap();
-            assert!(!report.truncated && !report.stopped_by_sink);
-            writer.finish().unwrap();
+        assert!(!report.truncated && !report.stopped_by_sink);
+        writer.finish().unwrap();
 
-            let store = ClusterStore::open(&path).unwrap();
-            assert_eq!(
-                read_all(&store),
-                expected,
-                "store drifted from collect path (threads = {threads}, {split:?})"
-            );
-        }
+        let store = ClusterStore::open(&path).unwrap();
+        assert_eq!(
+            read_all(&store),
+            expected,
+            "store drifted from collect path (threads = {threads})"
+        );
     }
 }
 

@@ -12,8 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use regcluster::core::{
-    mine, mine_engine, mine_engine_with, EngineConfig, MineControl, MiningParams, RegCluster,
-    SyncMineObserver,
+    mine, MineControl, MineRequest, Miner, MiningParams, RegCluster, SyncMineObserver,
 };
 use regcluster::datagen::{generate, SyntheticConfig};
 
@@ -40,8 +39,13 @@ fn main() {
     // The engine's output is bit-identical to the sequential miner at any
     // thread count, so parallelism is a pure implementation detail.
     let sequential = mine(&data.matrix, &params).expect("mining succeeds");
-    let report =
-        mine_engine(&data.matrix, &params, &EngineConfig::new(4)).expect("engine mining succeeds");
+    // Building the per-gene models is done once; every request below
+    // enumerates over the same prepared miner.
+    let miner = Miner::new(&data.matrix, &params).expect("valid parameters");
+    let (report, _) = MineRequest::new(&miner)
+        .threads(4)
+        .collect()
+        .expect("engine mining succeeds");
     assert_eq!(report.clusters, sequential);
     println!(
         "4 threads found the same {} reg-clusters as the sequential miner \
@@ -53,14 +57,11 @@ fn main() {
     // Observers are shared by all workers; per-worker statistics are merged
     // at join, so the report's totals match a sequential run.
     let counter = EmissionCounter::default();
-    let report = mine_engine_with(
-        &data.matrix,
-        &params,
-        &EngineConfig::new(4),
-        &MineControl::new(),
-        &counter,
-    )
-    .expect("engine mining succeeds");
+    let (report, _) = MineRequest::new(&miner)
+        .threads(4)
+        .observer(&counter)
+        .collect()
+        .expect("engine mining succeeds");
     assert_eq!(
         counter.emitted.load(Ordering::Relaxed),
         report.stats.emitted
@@ -75,14 +76,11 @@ fn main() {
     // converts that flag into `CoreError::Cancelled` for callers that
     // require complete output.
     let control = MineControl::with_deadline(Duration::ZERO);
-    let report = mine_engine_with(
-        &data.matrix,
-        &params,
-        &EngineConfig::new(4),
-        &control,
-        &EmissionCounter::default(),
-    )
-    .expect("an expired deadline is not an engine error");
+    let (report, _) = MineRequest::new(&miner)
+        .threads(4)
+        .control(&control)
+        .collect()
+        .expect("an expired deadline is not an engine error");
     assert!(report.truncated);
     println!(
         "expired deadline: truncated partial result with {} clusters, \

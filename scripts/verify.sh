@@ -60,6 +60,9 @@ cargo test -q -p regcluster-store --test torn_write -- torn_publish
 echo "==> engine matrix (every engine mines, stores, queries, exports metrics)"
 cargo test -q -p regcluster-cli --test engines_matrix
 
+echo "==> benchmark builds and passes its own tests (perfbench is a separate workspace)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> engine-comparison bench, smoke mode"
 REGCLUSTER_RESULTS="$(mktemp -d)" \
   cargo run --release -q -p regcluster-bench --bin comparison -- --quick

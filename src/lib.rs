@@ -53,8 +53,8 @@ pub use regcluster_store as store;
 /// The names needed by almost every user of the library.
 pub mod prelude {
     pub use regcluster_core::{
-        mine, mine_engine, mine_engine_with, mine_parallel, mine_with_observer, EngineConfig,
-        MineControl, MiningParams, RegCluster, RegulationThreshold,
+        mine, mine_with_observer, MineControl, MineRequest, Miner, MiningParams, RegCluster,
+        RegulationThreshold,
     };
     pub use regcluster_matrix::ExpressionMatrix;
 }

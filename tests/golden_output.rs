@@ -3,7 +3,7 @@
 //! The JSON files under `tests/golden/` hold the exact cluster sets produced
 //! by the miner before the allocation-free enumeration refactor. Every
 //! refactor of the hot path must keep the output bit-identical — sequential
-//! and through the engine at thread counts 1–8 under both split strategies.
+//! and through the engine at thread counts 1–8.
 //!
 //! Regenerate (only when the *model* legitimately changes, never to paper
 //! over a miner regression) with:
@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use regcluster_core::{mine, mine_engine, EngineConfig, MiningParams, RegCluster, SplitStrategy};
+use regcluster_core::{mine, MineRequest, Miner, MiningParams, RegCluster};
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
 
@@ -63,16 +63,17 @@ fn check_against_golden(name: &str, matrix: &ExpressionMatrix, params: &MiningPa
         "golden workload {name} must be non-trivial"
     );
     assert_eq!(seq, golden, "sequential output drifted from golden {name}");
+    let miner = Miner::new(matrix, params).expect("valid params");
     for threads in 1..=8usize {
-        for split in [SplitStrategy::WorkStealing, SplitStrategy::StaticRoots] {
-            let config = EngineConfig::new(threads).with_split(split);
-            let report = mine_engine(matrix, params, &config).expect("engine succeeds");
-            assert!(!report.truncated);
-            assert_eq!(
-                report.clusters, golden,
-                "engine output drifted from golden {name} (threads = {threads}, {split:?})"
-            );
-        }
+        let (report, _) = MineRequest::new(&miner)
+            .threads(threads)
+            .collect()
+            .expect("engine succeeds");
+        assert!(!report.truncated);
+        assert_eq!(
+            report.clusters, golden,
+            "engine output drifted from golden {name} (threads = {threads})"
+        );
     }
 }
 

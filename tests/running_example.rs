@@ -4,7 +4,7 @@
 use regcluster::core::coherence::h_series;
 use regcluster::core::miner::Miner;
 use regcluster::core::observer::{PruneRule, TraceObserver};
-use regcluster::core::{mine, mine_parallel, mine_with_observer, MiningParams};
+use regcluster::core::{mine, mine_with_observer, MineRequest, MiningParams};
 use regcluster::datagen::running_example;
 
 // 0-based ids: gene g_k is k−1, condition c_k is k−1.
@@ -150,8 +150,10 @@ fn result_is_stable_across_drivers() {
     let m = running_example();
     let p = params();
     let seq = mine(&m, &p).unwrap();
+    let miner = Miner::new(&m, &p).unwrap();
     for threads in [1, 2, 8] {
-        assert_eq!(seq, mine_parallel(&m, &p, threads).unwrap());
+        let (report, _) = MineRequest::new(&miner).threads(threads).collect().unwrap();
+        assert_eq!(seq, report.clusters);
     }
 }
 

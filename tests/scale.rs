@@ -3,7 +3,7 @@
 //! paper's Figure 7 sweeps at their upper ends and the memory behaviour of
 //! the parallel driver.
 
-use regcluster::core::{mine, mine_parallel, MiningParams};
+use regcluster::core::{mine, MineRequest, Miner, MiningParams};
 use regcluster::datagen::{generate, SyntheticConfig};
 
 #[test]
@@ -34,8 +34,9 @@ fn parallel_matches_sequential_at_scale() {
     let data = generate(&cfg).unwrap();
     let params = MiningParams::new(40, 6, 0.1, 0.01).unwrap();
     let seq = mine(&data.matrix, &params).unwrap();
-    let par = mine_parallel(&data.matrix, &params, 8).unwrap();
-    assert_eq!(seq, par);
+    let miner = Miner::new(&data.matrix, &params).unwrap();
+    let (par, _) = MineRequest::new(&miner).threads(8).collect().unwrap();
+    assert_eq!(seq, par.clusters);
 }
 
 #[test]
