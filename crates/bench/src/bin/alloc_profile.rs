@@ -1,11 +1,11 @@
 //! Allocation profile of the mining hot path: allocations-per-node and
 //! ns-per-node for the running example and seeded synthetic workloads.
 //!
-//! A counting global allocator tallies every allocation in the process, so
-//! runs are taken back-to-back on one thread and the per-workload delta is
-//! attributed to the mining call between the samples. The second (warm)
-//! sequential run reuses a [`MineWorkspace`]-style warmed state where the
-//! API allows, which is what the steady-state row reports.
+//! A counting global allocator tallies every allocation in the process.
+//! Each run is a one-thread [`MineRequest`], which runs its worker on the
+//! calling thread, so the delta between two samples is exactly the run's.
+//! A run's allocations are its fixed setup (root seeds and buffer growth)
+//! plus a few per emitted cluster; none are per node.
 //!
 //! ```sh
 //! cargo run --release -p regcluster-bench --bin alloc_profile
@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use regcluster_core::{MineObserver, MineWorkspace, Miner, MiningParams, MiningStats};
+use regcluster_core::{MineRequest, Miner, MiningParams};
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
 
@@ -52,50 +52,35 @@ fn snapshot() -> (u64, u64) {
 
 fn profile(label: &str, matrix: &ExpressionMatrix, params: &MiningParams) {
     let miner = Miner::new(matrix, params).expect("valid params");
-    let mut workspace = MineWorkspace::new();
-    let run = |workspace: &mut MineWorkspace, observer: &mut dyn MineObserver| {
+    let run = || {
         let (a0, b0) = snapshot();
         let t = Instant::now();
-        let clusters = miner.mine_all_with(workspace, observer);
+        let (report, _) = MineRequest::new(&miner).collect().expect("run completes");
         let elapsed = t.elapsed();
         let (a1, b1) = snapshot();
-        (clusters.len(), a1 - a0, b1 - b0, elapsed)
+        (report, a1 - a0, b1 - b0, elapsed)
     };
 
-    // Cold run: workspace buffers grow from empty.
-    let mut stats = MiningStats::default();
-    let (n_clusters, cold_allocs, cold_bytes, cold_t) = run(&mut workspace, &mut stats);
-    let nodes = stats.nodes.max(1) as f64;
-    // Warm runs: the workspace is at its high-water marks — the allocator's
-    // steady state. Remaining allocations are per-emission only. Timing is
-    // the best of five runs to shrug off scheduler noise; the allocation
-    // counts are deterministic across warm runs.
-    let mut warm_allocs = u64::MAX;
-    let mut warm_bytes = u64::MAX;
-    let mut warm_t = std::time::Duration::MAX;
-    for _ in 0..5 {
-        let mut stats2 = MiningStats::default();
-        let (_, a, b, t) = run(&mut workspace, &mut stats2);
-        warm_allocs = warm_allocs.min(a);
-        warm_bytes = warm_bytes.min(b);
-        warm_t = warm_t.min(t);
+    // The allocation counts are deterministic across runs; timing is the
+    // best of five runs to shrug off scheduler noise.
+    let (report, allocs, bytes, mut best_t) = run();
+    for _ in 0..4 {
+        best_t = best_t.min(run().3);
     }
+    let nodes = report.stats.nodes.max(1) as f64;
 
     println!("workload: {label}");
-    println!("  nodes = {}, clusters = {}", stats.nodes, n_clusters);
     println!(
-        "  cold: {:.3} allocs/node, {:.1} bytes/node, {:.0} ns/node ({} allocs total)",
-        cold_allocs as f64 / nodes,
-        cold_bytes as f64 / nodes,
-        cold_t.as_nanos() as f64 / nodes,
-        cold_allocs
+        "  nodes = {}, clusters = {}",
+        report.stats.nodes,
+        report.clusters.len()
     );
     println!(
-        "  warm: {:.3} allocs/node, {:.1} bytes/node, {:.0} ns/node ({} allocs total)",
-        warm_allocs as f64 / nodes,
-        warm_bytes as f64 / nodes,
-        warm_t.as_nanos() as f64 / nodes,
-        warm_allocs
+        "  {:.3} allocs/node, {:.1} bytes/node, {:.0} ns/node ({} allocs total)",
+        allocs as f64 / nodes,
+        bytes as f64 / nodes,
+        best_t.as_nanos() as f64 / nodes,
+        allocs
     );
 }
 

@@ -6,13 +6,15 @@
 //! and splits every point into the two phases of a mine:
 //!
 //! * **model build** — `Miner::new`, one `RWave^γ` model + hot table per gene;
-//! * **enumeration** — `mine_all_with` on a warmed [`MineWorkspace`], so the
-//!   number reflects the steady-state, allocation-free hot path.
+//! * **enumeration** — a one-thread [`MineRequest`] over every root into a
+//!   [`VecSink`], the engine path every mine runs (root seeding and buffer
+//!   growth included).
 //!
-//! Per-node nanoseconds (`enumerate_s / nodes`, nodes counted by a
-//! [`MiningStats`] observer) is the headline metric: it is what the bitset
-//! refactors move, and it is far less noisy than wall-clock seconds because
-//! the node count is deterministic for a given input.
+//! Per-node nanoseconds (`enumerate_s / nodes`, nodes from the run's
+//! [`StreamReport`](regcluster_core::StreamReport) stats) is the headline
+//! metric: it is what the bitset refactors move, and it is far less noisy
+//! than wall-clock seconds because the node count is deterministic for a
+//! given input.
 //!
 //! Modes (see `docs/PERFORMANCE.md` for the full recipe):
 //!
@@ -22,14 +24,15 @@
 //!   only; the committed baseline is left untouched;
 //! * `--check` — compare the fresh sweep against the committed baseline
 //!   and exit non-zero when any point regressed past the noise threshold
-//!   (`REGCLUSTER_PERF_THRESHOLD`, default 1.5×); on pass the baseline is
-//!   refreshed (full mode only);
+//!   (`REGCLUSTER_PERF_THRESHOLD`, default 1.5×) or when no fresh point
+//!   shares a `#cond` with the baseline; on pass the baseline is refreshed
+//!   (full mode only);
 //! * `--check-baseline` — no mining at all: parse the committed baseline
 //!   and fail on structural rot (missing file, wrong version, non-finite
 //!   numbers). This is the only gate CI runs on shared hardware.
 
 use regcluster_bench::{time, write_json};
-use regcluster_core::{MineWorkspace, Miner, MiningParams, MiningStats, NoopObserver};
+use regcluster_core::{MineRequest, Miner, MiningParams, VecSink};
 use regcluster_datagen::{generate, SyntheticConfig};
 use serde::{Deserialize, Serialize};
 
@@ -49,7 +52,7 @@ struct HotpathPoint {
     n_genes: usize,
     /// `Miner::new` (RWave models + SoA hot tables), seconds.
     model_build_s: f64,
-    /// Warm-workspace `mine_all_with`, seconds (mean over repetitions).
+    /// One-thread `MineRequest` run, seconds (mean over repetitions).
     enumerate_s: f64,
     /// Enumeration-tree nodes entered (deterministic per input).
     nodes: usize,
@@ -110,8 +113,8 @@ fn load_baseline() -> Result<HotpathBaseline, String> {
     Ok(b)
 }
 
-/// One sweep point: build the miner (timed), warm the workspace, then
-/// average `reps` timed enumeration runs with a node-counting observer.
+/// One sweep point: build the miner (timed), then average `reps` timed
+/// one-thread engine runs over every root.
 fn run_point(n_conds: usize, reps: usize) -> HotpathPoint {
     let cfg = SyntheticConfig {
         n_conds,
@@ -123,16 +126,13 @@ fn run_point(n_conds: usize, reps: usize) -> HotpathPoint {
         MiningParams::new(min_g, 6, MINING_GAMMA, MINING_EPSILON).expect("mining params valid");
     let (miner, model_build_s) =
         time(|| Miner::new(&data.matrix, &params).expect("params validate"));
-    let mut workspace = MineWorkspace::new();
-    // Warm-up: grows every scratch buffer to its high-water mark so the
-    // timed runs measure the allocation-free steady state.
-    let warm = miner.mine_all_with(&mut workspace, &mut NoopObserver);
     let mut enumerate_s = 0.0;
-    let mut stats = MiningStats::default();
+    let mut stats = Default::default();
     for _ in 0..reps {
-        stats = MiningStats::default();
-        let (_, secs) = time(|| miner.mine_all_with(&mut workspace, &mut stats));
+        let sink = VecSink::new();
+        let (report, secs) = time(|| MineRequest::new(&miner).run(&sink).expect("run completes"));
         enumerate_s += secs;
+        stats = report.0.stats;
     }
     enumerate_s /= reps as f64;
     let nodes = stats.nodes.max(1);
@@ -142,7 +142,7 @@ fn run_point(n_conds: usize, reps: usize) -> HotpathPoint {
         model_build_s,
         enumerate_s,
         nodes,
-        clusters: warm.len(),
+        clusters: stats.emitted,
         ns_per_node: enumerate_s * 1e9 / nodes as f64,
         nodes_per_s: nodes as f64 / enumerate_s.max(1e-12),
     }
@@ -183,23 +183,36 @@ fn sweep(quick: bool) -> HotpathBaseline {
     }
 }
 
-/// Compares a fresh sweep against the committed baseline; returns the
-/// regressed points (matched by `#cond`).
-fn regressions<'a>(
-    fresh: &'a HotpathBaseline,
+/// Compares a fresh sweep against the committed baseline, point by point
+/// (matched by `#cond`). Returns the number of matched points, or the
+/// failure to report: no point matched at all, or some point's ns/node
+/// exceeds `threshold ×` its baseline.
+fn compare(
+    fresh: &HotpathBaseline,
     base: &HotpathBaseline,
     threshold: f64,
-) -> Vec<(&'a HotpathPoint, f64)> {
-    let mut out = Vec::new();
+) -> Result<usize, String> {
+    let mut matched = 0;
+    let mut regressed = Vec::new();
     for p in &fresh.points {
         if let Some(b) = base.points.iter().find(|b| b.n_conds == p.n_conds) {
+            matched += 1;
             let ratio = p.ns_per_node / b.ns_per_node;
             if ratio > threshold {
-                out.push((p, ratio));
+                regressed.push(format!(
+                    "REGRESSION #cond={}: {:.1} ns/node is {ratio:.2}x baseline (threshold {threshold}x)",
+                    p.n_conds, p.ns_per_node
+                ));
             }
         }
     }
-    out
+    if matched == 0 {
+        return Err("no fresh point shares a #cond with the baseline: nothing compared".into());
+    }
+    if !regressed.is_empty() {
+        return Err(regressed.join("\n"));
+    }
+    Ok(matched)
 }
 
 fn main() {
@@ -230,25 +243,13 @@ fn main() {
 
     if check {
         let threshold = threshold();
-        match load_baseline() {
-            Ok(base) => {
-                let bad = regressions(&fresh, &base, threshold);
-                if !bad.is_empty() {
-                    for (p, ratio) in &bad {
-                        eprintln!(
-                            "REGRESSION #cond={}: {:.1} ns/node is {ratio:.2}x baseline (threshold {threshold}x)",
-                            p.n_conds, p.ns_per_node
-                        );
-                    }
-                    std::process::exit(1);
-                }
-                println!(
-                    "no regression past {threshold}x on {} matched points",
-                    fresh.points.len()
-                );
-            }
+        let outcome = load_baseline()
+            .map_err(|e| format!("cannot check against baseline: {e}"))
+            .and_then(|base| compare(&fresh, &base, threshold));
+        match outcome {
+            Ok(matched) => println!("no regression past {threshold}x on {matched} matched points"),
             Err(e) => {
-                eprintln!("cannot check against baseline: {e}");
+                eprintln!("{e}");
                 std::process::exit(1);
             }
         }
@@ -263,5 +264,52 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         eprintln!("wrote {}", path.display());
         write_json("hotpath_full.json", &fresh);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sweep_of(points: &[(usize, f64)]) -> HotpathBaseline {
+        HotpathBaseline {
+            format_version: BASELINE_FORMAT_VERSION,
+            quick: true,
+            repetitions: 1,
+            mining_gamma: MINING_GAMMA,
+            mining_epsilon: MINING_EPSILON,
+            mean_ns_per_node: 1.0,
+            points: points
+                .iter()
+                .map(|&(n_conds, ns_per_node)| HotpathPoint {
+                    n_conds,
+                    n_genes: 3000,
+                    model_build_s: 0.0,
+                    enumerate_s: 0.0,
+                    nodes: 1,
+                    clusters: 0,
+                    ns_per_node,
+                    nodes_per_s: 0.0,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn check_fails_when_no_point_matches() {
+        let base = sweep_of(&[(10, 100.0), (40, 100.0)]);
+        let fresh = sweep_of(&[(20, 100.0), (30, 100.0)]);
+        let err = compare(&fresh, &base, DEFAULT_THRESHOLD).unwrap_err();
+        assert!(err.contains("nothing compared"), "{err}");
+    }
+
+    #[test]
+    fn check_counts_only_matched_points() {
+        let base = sweep_of(&[(20, 100.0), (40, 100.0)]);
+        let fresh = sweep_of(&[(20, 120.0), (30, 999.0)]);
+        assert_eq!(compare(&fresh, &base, DEFAULT_THRESHOLD), Ok(1));
+        let slow = sweep_of(&[(20, 151.0), (30, 100.0)]);
+        let err = compare(&slow, &base, DEFAULT_THRESHOLD).unwrap_err();
+        assert!(err.contains("REGRESSION #cond=20"), "{err}");
     }
 }

@@ -23,12 +23,12 @@
 //!
 //! # Determinism
 //!
-//! The collect path ([`MineRequest::collect`]) is **bit-identical** to the sequential
-//! miner at every thread count, including under
+//! The collect path ([`MineRequest::collect`]) is **bit-identical** at every
+//! thread count, including under
 //! [`max_clusters`](crate::MiningParams::max_clusters):
 //!
-//! * node expansion is the shared `Miner::expand_node`, a pure function of
-//!   the node state, so sequential and parallel runs expand the same tree;
+//! * node expansion is `Miner::expand_node`, a pure function of the node
+//!   state, so runs at every thread count expand the same tree;
 //! * duplicate elimination (pruning (3)(b) of the paper) is a first-arrival
 //!   race, but two nodes emitting the same `(chain, genes)` cluster
 //!   necessarily carry the same member state and therefore root *identical
@@ -43,6 +43,10 @@
 //! [`MineControl::cancel`], a deadline, or a sink refusing clusters — yield
 //! a prefix of the work whose content depends on scheduling, and are flagged
 //! accordingly.
+//!
+//! A one-thread run is fully ordered: its worker takes the roots in
+//! condition order and walks each subtree depth-first, so observer events
+//! arrive in the order of the paper's Figure 6 tree.
 //!
 //! # Checkpointing
 //!
@@ -87,7 +91,7 @@ const SPILL_THRESHOLD: usize = 4;
 /// Acquires a mutex, ignoring poisoning: engine state stays usable after a
 /// worker panic so the run can shut down and report the panic instead of
 /// cascading.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -304,7 +308,7 @@ pub struct MineReport {
     /// filter, `max_clusters` cap). A partial set when `truncated`.
     pub clusters: Vec<RegCluster>,
     /// Merged per-worker search-effort counters. For complete runs these
-    /// equal a sequential run's totals (asserted by tests).
+    /// equal a one-thread run's totals (asserted by tests).
     pub stats: MiningStats,
     /// The run was stopped by [`MineControl`] before the tree was exhausted.
     pub truncated: bool,
@@ -841,24 +845,27 @@ fn execute(
         shared.stop.store(false, Ordering::Release);
         shared.paused.store(false, Ordering::Release);
         shared.pause_at = every.and_then(|d| Instant::now().checked_add(d));
+        // The calling thread is worker 0; only the `threads - 1` helpers
+        // are spawned. A one-thread run thus spawns nothing, and everything
+        // it allocates is charged to the caller's thread.
         std::thread::scope(|scope| {
             let shared = &shared;
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                handles.push(scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| worker(miner, n_roots, shared)))
-                        .unwrap_or_else(|payload| {
-                            let mut slot = lock(&shared.panic_msg);
-                            if slot.is_none() {
-                                *slot = Some(panic_message(payload));
-                            }
-                            drop(slot);
-                            shared.request_stop();
-                            MiningStats::default()
-                        })
-                }));
-            }
-            for handle in handles {
+            let run = move || {
+                catch_unwind(AssertUnwindSafe(|| worker(miner, n_roots, shared))).unwrap_or_else(
+                    |payload| {
+                        let mut slot = lock(&shared.panic_msg);
+                        if slot.is_none() {
+                            *slot = Some(panic_message(payload));
+                        }
+                        drop(slot);
+                        shared.request_stop();
+                        MiningStats::default()
+                    },
+                )
+            };
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(run)).collect();
+            stats.merge(&run());
+            for handle in helpers {
                 if let Ok(worker_stats) = handle.join() {
                     stats.merge(&worker_stats);
                 }
@@ -997,7 +1004,6 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
             miner.expand_node(
                 &mut chain,
                 &members,
-                None,
                 &mut scratch,
                 &mut children,
                 &mut observer,

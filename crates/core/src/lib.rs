@@ -86,11 +86,10 @@ pub use engine::{
 pub use engine_api::{BiclusterEngine, EngineReport};
 pub use error::CoreError;
 pub use metrics::MetricsObserver;
-pub use miner::{finalize_clusters, mine, mine_containing, mine_with_observer, Miner};
+pub use miner::{finalize_clusters, mine, mine_with_observer, Miner};
 pub use observer::{
     MineObserver, MiningStats, NoopObserver, PruneRule, SyncMineObserver, TraceEvent, TraceObserver,
 };
 pub use params::MiningParams;
 pub use partition::{partition_roots, range_roots};
-pub use scratch::MineWorkspace;
 pub use threshold::RegulationThreshold;

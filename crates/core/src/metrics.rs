@@ -35,10 +35,10 @@ const LATENCY_BOUNDS: [f64; 10] = [0.0001, 0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 15.0
 
 /// An observer recording enumeration events into registry instruments.
 ///
-/// Works with both dispatch paths: it implements [`MineObserver`] for the
-/// sequential miner and [`SyncMineObserver`] for the work-stealing engine
-/// (all instrument cells are atomics, so concurrent workers reporting
-/// through one instance lose nothing).
+/// Implements [`SyncMineObserver`] for the work-stealing engine (all
+/// instrument cells are atomics, so concurrent workers reporting through
+/// one instance lose nothing) and [`MineObserver`] for
+/// [`mine_with_observer`](crate::mine_with_observer).
 ///
 /// Handles are resolved once, at [`register`](MetricsObserver::register)
 /// time. The clock is generic so tests can drive time by hand

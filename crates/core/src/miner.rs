@@ -29,13 +29,16 @@
 //! candidates: a candidate supported solely by n-members leads to a node
 //! with zero p-members, which (3)(a) prunes immediately.
 
+use std::sync::Mutex;
+
 use regcluster_matrix::{CondId, ExpressionMatrix, GeneId};
 
 use crate::coherence::maximal_windows_into;
-use crate::intern::{ClusterView, EmittedSet};
-use crate::observer::{MineObserver, NoopObserver, PruneRule};
+use crate::engine::{lock, MineRequest};
+use crate::intern::ClusterView;
+use crate::observer::{MineObserver, PruneRule, SyncMineObserver};
 use crate::rwave::RWaveModel;
-use crate::scratch::{ChildBuf, MineWorkspace, NodeScratch};
+use crate::scratch::{ChildBuf, NodeScratch};
 use crate::tables::HotTables;
 use crate::{CoreError, MiningParams, RegCluster};
 
@@ -88,8 +91,8 @@ pub(crate) enum EmitOutcome {
     Duplicate,
 }
 
-/// Reusable mining engine: builds the per-gene `RWave^γ` models once and can
-/// then mine from all roots (sequentially or in parallel).
+/// The prepared input of a mining run: builds the per-gene `RWave^γ` models
+/// once; every [`MineRequest`] over it reuses them.
 pub struct Miner<'a> {
     matrix: &'a ExpressionMatrix,
     params: &'a MiningParams,
@@ -97,16 +100,6 @@ pub struct Miner<'a> {
     /// Flat struct-of-arrays projection of `models` for the hot path (see
     /// [`HotTables`]); rebuilt with the models, never mutated afterwards.
     tables: HotTables,
-}
-
-/// Per-run mutable state threaded through the recursion.
-struct RunState<'o> {
-    out: Vec<RegCluster>,
-    emitted: EmittedSet,
-    observer: &'o mut dyn MineObserver,
-    /// Query mining: abandon any node that loses this gene (sound because
-    /// member sets only shrink along a path).
-    required: Option<GeneId>,
 }
 
 impl<'a> Miner<'a> {
@@ -152,98 +145,6 @@ impl<'a> Miner<'a> {
     /// root per condition.
     pub fn n_conditions(&self) -> usize {
         self.matrix.n_conditions()
-    }
-
-    /// Mines every representative regulation chain rooted at every
-    /// condition, in condition order, reporting events to `observer`.
-    ///
-    /// The result is sorted canonically (by chain, then members) so that
-    /// sequential and parallel runs compare equal. With `max_clusters` set,
-    /// the cap keeps the canonically-first clusters of the full result —
-    /// deterministic and identical across sequential and parallel runs. For
-    /// a cooperative early stop instead, mine through the engine with a
-    /// [`CappedSink`](crate::engine::CappedSink).
-    pub fn mine_all(&self, observer: &mut dyn MineObserver) -> Vec<RegCluster> {
-        self.mine_all_with(&mut MineWorkspace::new(), observer)
-    }
-
-    /// Like [`mine_all`](Self::mine_all), drawing all per-node working
-    /// memory from `workspace`.
-    ///
-    /// The workspace buffers grow to their high-water marks during the first
-    /// run and are reused afterwards, so repeated runs on a warmed workspace
-    /// perform **zero heap allocations per enumeration node** — they
-    /// allocate only for the clusters they emit (asserted by the allocation
-    /// regression tests).
-    pub fn mine_all_with(
-        &self,
-        workspace: &mut MineWorkspace,
-        observer: &mut dyn MineObserver,
-    ) -> Vec<RegCluster> {
-        let mut out = self.run_roots(workspace, observer, None, 0..self.matrix.n_conditions());
-        finalize(&mut out, self.params);
-        out
-    }
-
-    /// Query mining: only clusters containing `gene` are produced, with the
-    /// search pruned the moment a subtree loses that gene — typically far
-    /// cheaper than full mining plus filtering when the gene's profile is
-    /// selective.
-    ///
-    /// The result equals `mine_all` filtered to clusters containing `gene`
-    /// (asserted by tests).
-    pub fn mine_containing(
-        &self,
-        gene: GeneId,
-        observer: &mut dyn MineObserver,
-    ) -> Vec<RegCluster> {
-        let mut out = self.run_roots(
-            &mut MineWorkspace::new(),
-            observer,
-            Some(gene),
-            0..self.matrix.n_conditions(),
-        );
-        finalize(&mut out, self.params);
-        out
-    }
-
-    /// Mines only the subtree rooted at condition `root`. Used by the
-    /// parallel driver; results are **not** post-filtered or sorted.
-    pub fn mine_root(&self, root: CondId, observer: &mut dyn MineObserver) -> Vec<RegCluster> {
-        self.run_roots(&mut MineWorkspace::new(), observer, None, root..root + 1)
-    }
-
-    /// Runs the depth-first enumeration over the given roots, collecting raw
-    /// (un-finalized) clusters. All per-node memory comes from `workspace`.
-    fn run_roots(
-        &self,
-        workspace: &mut MineWorkspace,
-        observer: &mut dyn MineObserver,
-        required: Option<GeneId>,
-        roots: std::ops::Range<CondId>,
-    ) -> Vec<RegCluster> {
-        workspace.prepare(self.matrix.n_conditions());
-        let mut state = RunState {
-            out: Vec::new(),
-            emitted: EmittedSet::default(),
-            observer,
-            required,
-        };
-        let MineWorkspace {
-            scratch,
-            levels,
-            chain,
-            node_members,
-        } = workspace;
-        for root in roots {
-            self.root_members_into(root, node_members);
-            chain.clear();
-            chain.push(root);
-            if self.recurse(chain, node_members, scratch, levels, &mut state) {
-                break;
-            }
-        }
-        state.out
     }
 
     /// Writes the level-1 member set of `root` into `out` (cleared first):
@@ -299,74 +200,13 @@ impl<'a> Miner<'a> {
             .collect()
     }
 
-    /// Depth-first traversal over [`expand_node`](Self::expand_node),
-    /// threading the sequential run state. Returns `true` when the emission
-    /// receiver asked the run to stop.
-    ///
-    /// `levels` holds one [`ChildBuf`] per remaining depth: the head buffer
-    /// receives this node's children and stays borrowed (as the source of
-    /// each child's member slice) while the tail recurses — splitting the
-    /// levels is what lets every depth reuse its buffer without any
-    /// per-node allocation.
-    fn recurse(
-        &self,
-        chain: &mut Vec<CondId>,
-        members: &[Member],
-        scratch: &mut NodeScratch,
-        levels: &mut [ChildBuf],
-        state: &mut RunState<'_>,
-    ) -> bool {
-        let (cur, rest) = levels
-            .split_first_mut()
-            .expect("workspace levels cover the maximum chain depth");
-        let RunState {
-            out,
-            emitted,
-            observer,
-            required,
-        } = state;
-        let stop = self.expand_node(
-            chain,
-            members,
-            *required,
-            scratch,
-            cur,
-            &mut **observer,
-            &mut |view, obs| {
-                // Pruning (3)(b): an already-emitted cluster roots a
-                // redundant subtree. Duplicate probes allocate nothing.
-                if !emitted.insert(view.fingerprint(), view) {
-                    return EmitOutcome::Duplicate;
-                }
-                let cluster = view.to_cluster();
-                obs.cluster_emitted(&cluster);
-                out.push(cluster);
-                EmitOutcome::Fresh
-            },
-        );
-        if stop {
-            return true;
-        }
-        for i in 0..cur.index.len() {
-            let child = cur.index[i];
-            chain.push(child.cond);
-            let stop = self.recurse(chain, cur.members_of(child), scratch, rest, state);
-            chain.pop();
-            if stop {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Expands one enumeration node: reports events to `observer`, offers a
     /// validated representative cluster to `try_emit` (as a borrowed
     /// [`ClusterView`]; the receiver materializes fresh clusters and reports
     /// them emitted), and writes the children into `children` in depth-first
     /// order. Returns `true` when the receiver asked the whole run to stop.
-    /// This is the single copy of the paper's Figure 5 node semantics — the
-    /// sequential recursion and the parallel [`engine`](crate::engine) both
-    /// drive their traversals through it, so they cannot diverge.
+    /// This is the single copy of the paper's Figure 5 node semantics; the
+    /// [`engine`](crate::engine) worker loop is its one caller.
     ///
     /// All working memory comes from `scratch` and `children` (cleared on
     /// entry, capacity retained), so steady-state calls allocate nothing.
@@ -378,7 +218,6 @@ impl<'a> Miner<'a> {
         &self,
         chain: &mut Vec<CondId>,
         members: &[Member],
-        required: Option<GeneId>,
         scratch: &mut NodeScratch,
         children: &mut ChildBuf,
         observer: &mut dyn MineObserver,
@@ -412,13 +251,6 @@ impl<'a> Miner<'a> {
         };
         observer.node_entered(chain, n_fwd, n_bwd);
 
-        // Query mining: every cluster of this subtree lacks the required
-        // gene once it has left the member set.
-        if let Some(g) = required {
-            if !members.iter().any(|m| m.gene == g) {
-                return false;
-            }
-        }
         // Pruning (1): MinG — except at level 1, where the member set was
         // filtered solely by the max-chain tables (`root_members_into`
         // admits a gene iff MinC is reachable from the root), so a starved
@@ -714,10 +546,10 @@ fn merge_sorted_into(a: &[GeneId], b: &[GeneId], out: &mut Vec<GeneId>) {
 }
 
 /// Canonical ordering + optional maximal-only post-filter + `max_clusters`
-/// truncation, shared by the sequential and parallel drivers. Because the cap
-/// is applied to the canonically-sorted full result, capped output is a
-/// deterministic function of the cluster *set* — which is why sequential and
-/// work-stealing parallel runs agree bit-for-bit even under `max_clusters`.
+/// truncation of the collect path. Because the cap is applied to the
+/// canonically-sorted full result, capped output is a deterministic function
+/// of the cluster *set* — which is why runs at every thread count agree
+/// bit-for-bit even under `max_clusters`.
 pub(crate) fn finalize(out: &mut Vec<RegCluster>, params: &MiningParams) {
     if params.maximal_only {
         let snapshot = out.clone();
@@ -754,7 +586,8 @@ pub fn finalize_clusters(clusters: &mut Vec<RegCluster>, params: &MiningParams) 
     finalize(clusters, params);
 }
 
-/// Mines all reg-clusters of `matrix` under `params`.
+/// Mines all reg-clusters of `matrix` under `params`: a one-thread
+/// [`MineRequest`] over every root.
 ///
 /// Output clusters satisfy Definition 3.2 with respect to `γ` and `ε` and
 /// are at least `MinG × MinC` in size; each is the maximal coherent gene
@@ -767,50 +600,52 @@ pub fn mine(
     matrix: &ExpressionMatrix,
     params: &MiningParams,
 ) -> Result<Vec<RegCluster>, CoreError> {
-    mine_with_observer(matrix, params, &mut NoopObserver)
+    let miner = Miner::new(matrix, params)?;
+    Ok(MineRequest::new(&miner).collect()?.0.clusters)
 }
 
-/// Like [`mine`], reporting enumeration-tree events to `observer`.
+/// Like [`mine`], reporting enumeration-tree events to `observer` in
+/// depth-first order.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters.
+/// Returns [`CoreError::InvalidParams`] for invalid parameters and
+/// [`CoreError::WorkerPanic`] if the observer panics.
 pub fn mine_with_observer(
     matrix: &ExpressionMatrix,
     params: &MiningParams,
-    observer: &mut dyn MineObserver,
+    observer: &mut (dyn MineObserver + Send),
 ) -> Result<Vec<RegCluster>, CoreError> {
     let miner = Miner::new(matrix, params)?;
-    Ok(miner.mine_all(observer))
+    let observer = Exclusive(Mutex::new(observer));
+    Ok(MineRequest::new(&miner)
+        .observer(&observer)
+        .collect()?
+        .0
+        .clusters)
 }
 
-/// Mines only the reg-clusters containing `gene` (query mining), pruning
-/// subtrees that lose the gene. Equivalent to filtering [`mine`]'s output.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or an
-/// out-of-range gene id.
-pub fn mine_containing(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    gene: GeneId,
-) -> Result<Vec<RegCluster>, CoreError> {
-    if gene >= matrix.n_genes() {
-        return Err(CoreError::InvalidParams(format!(
-            "gene {gene} out of range (matrix has {} genes)",
-            matrix.n_genes()
-        )));
+/// Hands an exclusive observer to the engine, which reports through a
+/// shared one. The lock is uncontended: [`mine_with_observer`] runs one
+/// worker.
+struct Exclusive<'o>(Mutex<&'o mut (dyn MineObserver + Send)>);
+
+impl SyncMineObserver for Exclusive<'_> {
+    fn node_entered(&self, chain: &[CondId], n_p: usize, n_n: usize) {
+        lock(&self.0).node_entered(chain, n_p, n_n);
     }
-    let miner = Miner::new(matrix, params)?;
-    Ok(miner.mine_containing(gene, &mut NoopObserver))
+    fn pruned(&self, chain: &[CondId], rule: PruneRule) {
+        lock(&self.0).pruned(chain, rule);
+    }
+    fn cluster_emitted(&self, cluster: &RegCluster) {
+        lock(&self.0).cluster_emitted(cluster);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MineRequest;
-    use crate::observer::{PruneRule, TraceObserver};
+    use crate::observer::TraceObserver;
 
     /// Table 1 of the paper.
     pub(crate) fn running_example() -> ExpressionMatrix {
@@ -1071,31 +906,6 @@ mod tests {
         for c in &clusters {
             c.validate(&m, &params).unwrap();
         }
-    }
-
-    #[test]
-    fn mine_containing_equals_filtered_full_mine() {
-        let m = running_example();
-        for (min_g, min_c, gamma, eps) in [(3, 5, 0.15, 0.1), (2, 3, 0.05, 0.5), (2, 2, 0.0, 0.2)] {
-            let params = MiningParams::new(min_g, min_c, gamma, eps).unwrap();
-            let all = mine(&m, &params).unwrap();
-            for gene in 0..m.n_genes() {
-                let queried = mine_containing(&m, &params, gene).unwrap();
-                let filtered: Vec<RegCluster> = all
-                    .iter()
-                    .filter(|c| c.genes().binary_search(&gene).is_ok())
-                    .cloned()
-                    .collect();
-                assert_eq!(queried, filtered, "gene {gene} under {params:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn mine_containing_rejects_out_of_range_gene() {
-        let m = running_example();
-        let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-        assert!(mine_containing(&m, &params, 99).is_err());
     }
 
     #[test]

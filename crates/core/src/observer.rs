@@ -78,9 +78,11 @@ pub trait MineObserver {
 
 /// Receiver for enumeration-tree events from concurrent workers.
 ///
-/// The thread-safe counterpart of [`MineObserver`], used by the parallel
-/// [`engine`](crate::engine): methods take `&self` and implementations must
-/// be [`Sync`] because every worker reports through the same instance.
+/// The thread-safe counterpart of [`MineObserver`], the interface the
+/// [`engine`](crate::engine) reports through: methods take `&self` and
+/// implementations must be [`Sync`] because every worker reports through
+/// the same instance. [`mine_with_observer`](crate::mine_with_observer)
+/// adapts an exclusive [`MineObserver`] to it behind a lock.
 /// Events from different workers interleave arbitrarily; only the per-worker
 /// sub-streams are in depth-first order. For aggregate counters prefer the
 /// per-worker [`MiningStats`] that the engine accumulates lock-free and
@@ -178,7 +180,7 @@ impl MiningStats {
     /// Folds another accumulator into this one: counters add, `max_depth`
     /// takes the maximum. Used by the parallel engine to combine per-worker
     /// statistics at join; because workers partition the enumeration tree,
-    /// the merged totals equal a sequential run's.
+    /// the merged totals equal a one-thread run's.
     pub fn merge(&mut self, other: &MiningStats) {
         self.nodes += other.nodes;
         self.max_depth = self.max_depth.max(other.max_depth);

@@ -1,14 +1,11 @@
 //! Reusable scratch space for the enumeration core.
 //!
 //! Steady-state enumeration performs **zero heap allocations per node**: all
-//! per-node working memory lives in grow-only buffers owned by the caller —
-//! [`NodeScratch`] for the intra-node working set of
-//! [`Miner::expand_node`](crate::miner::Miner), [`ChildBuf`] for the flat
-//! member arena the node's children are written into, and the public
-//! [`MineWorkspace`] bundling everything a sequential run needs so repeated
-//! runs on the same [`Miner`](crate::Miner) reuse one warmed allocation set.
-//! The engine's workers assemble the same pieces around their work-stealing
-//! deques (see `engine.rs`).
+//! per-node working memory lives in grow-only buffers owned by an engine
+//! worker — [`NodeScratch`] for the intra-node working set of
+//! [`Miner::expand_node`](crate::miner::Miner) and [`ChildBuf`] for the flat
+//! member arena the node's children are written into. The worker keeps both
+//! for its whole run, next to its pending-node arenas (see `engine.rs`).
 
 use regcluster_matrix::{CondId, GeneId};
 
@@ -65,11 +62,6 @@ impl NodeScratch {
             ..NodeScratch::default()
         }
     }
-
-    /// Grows the candidate mask to cover `n_conds` conditions.
-    pub fn prepare(&mut self, n_conds: usize) {
-        self.cand.prepare(n_conds);
-    }
 }
 
 /// One child of an enumeration node: the appended condition plus an
@@ -115,42 +107,5 @@ impl ChildBuf {
     /// The member slice of child `i` of the index.
     pub fn members_of(&self, child: ChildNode) -> &[Member] {
         &self.members[child.start as usize..(child.start + child.len) as usize]
-    }
-}
-
-/// Reusable working memory for sequential mining runs.
-///
-/// All buffers the enumeration needs — node scratch space, one child arena
-/// per recursion depth, the chain stack, and the root member list — grow to
-/// their high-water mark during the first run and are reused afterwards, so
-/// steady-state enumeration allocates nothing per node. Create one with
-/// [`MineWorkspace::new`] and pass it to
-/// [`Miner::mine_all_with`](crate::Miner::mine_all_with) as many times as
-/// you like; a workspace warmed on one matrix works on any other (buffers
-/// only ever grow).
-#[derive(Debug, Default)]
-pub struct MineWorkspace {
-    pub(crate) scratch: NodeScratch,
-    /// One child buffer per recursion depth (depth `d` writes `levels[d-1]`).
-    pub(crate) levels: Vec<ChildBuf>,
-    pub(crate) chain: Vec<CondId>,
-    pub(crate) node_members: Vec<Member>,
-}
-
-impl MineWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        MineWorkspace::default()
-    }
-
-    /// Ensures the workspace covers a matrix with `n_conds` conditions: the
-    /// candidate mask spans every condition and one child buffer exists per
-    /// possible recursion depth (a chain never repeats a condition, so depth
-    /// is bounded by `n_conds`).
-    pub(crate) fn prepare(&mut self, n_conds: usize) {
-        self.scratch.prepare(n_conds);
-        while self.levels.len() < n_conds.max(1) {
-            self.levels.push(ChildBuf::default());
-        }
     }
 }

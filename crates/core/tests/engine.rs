@@ -55,7 +55,7 @@ fn collect(m: &ExpressionMatrix, params: &MiningParams, threads: usize) -> MineR
 }
 
 proptest! {
-    /// Engine output is bit-identical to the sequential miner for every
+    /// Engine output is bit-identical to one-thread [`mine`] for every
     /// thread count, with and without a cluster cap.
     #[test]
     fn engine_matches_sequential_across_thread_counts(
@@ -66,7 +66,7 @@ proptest! {
             Some(c) => params.clone().with_max_clusters(c),
             None => params,
         };
-        let seq = mine(&m, &params).expect("sequential mining succeeds");
+        let seq = mine(&m, &params).expect("one-thread mining succeeds");
         for threads in [1usize, 2, 4, 8] {
             let report = collect(&m, &params, threads);
             prop_assert!(!report.truncated);
@@ -74,14 +74,14 @@ proptest! {
         }
     }
 
-    /// The merged per-worker statistics equal a sequential observer's totals
+    /// The merged per-worker statistics equal a one-thread observer's totals
     /// at every thread count: first-arrival duplicate pruning keeps the event
     /// multiset invariant (DESIGN.md §7.6).
     #[test]
     fn engine_stats_match_sequential((m, params) in matrix_strategy()) {
         let mut seq_stats = MiningStats::default();
         regcluster_core::mine_with_observer(&m, &params, &mut seq_stats)
-            .expect("sequential mining succeeds");
+            .expect("one-thread mining succeeds");
         for threads in [1usize, 2, 4, 8] {
             let report = collect(&m, &params, threads);
             prop_assert_eq!(&report.stats, &seq_stats, "threads = {}", threads);

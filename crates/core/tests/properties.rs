@@ -232,22 +232,6 @@ proptest! {
         }
     }
 
-    /// Query mining equals filtered full mining for every gene.
-    #[test]
-    fn query_mining_matches_filter((m, params) in matrix_strategy()) {
-        let all = mine(&m, &params).expect("mining succeeds");
-        for gene in 0..m.n_genes() {
-            let queried = regcluster_core::mine_containing(&m, &params, gene)
-                .expect("query mining succeeds");
-            let filtered: Vec<_> = all
-                .iter()
-                .filter(|c| c.genes().binary_search(&gene).is_ok())
-                .cloned()
-                .collect();
-            prop_assert_eq!(queried, filtered, "gene {}", gene);
-        }
-    }
-
     /// Completeness on perfect families: genes that are exact affine images
     /// of a base profile with strong steps always form one full cluster.
     #[test]

@@ -3,7 +3,7 @@
 //! thread-safe observer.
 //!
 //! Mines a mid-sized synthetic dataset on four worker threads, shows that
-//! the result is bit-identical to the sequential miner, and demonstrates the
+//! the result is bit-identical to a one-thread `mine`, and demonstrates the
 //! cancellation path by re-running under an already-expired deadline.
 //!
 //! Run with `cargo run --release --example parallel_mining`.
@@ -36,9 +36,9 @@ fn main() {
     .expect("feasible configuration");
     let params = MiningParams::new(5, 6, 0.1, 0.01).expect("valid parameters");
 
-    // The engine's output is bit-identical to the sequential miner at any
-    // thread count, so parallelism is a pure implementation detail.
-    let sequential = mine(&data.matrix, &params).expect("mining succeeds");
+    // The engine's output is bit-identical at any thread count (`mine` is a
+    // one-thread run), so parallelism is a pure implementation detail.
+    let one_thread = mine(&data.matrix, &params).expect("mining succeeds");
     // Building the per-gene models is done once; every request below
     // enumerates over the same prepared miner.
     let miner = Miner::new(&data.matrix, &params).expect("valid parameters");
@@ -46,16 +46,16 @@ fn main() {
         .threads(4)
         .collect()
         .expect("engine mining succeeds");
-    assert_eq!(report.clusters, sequential);
+    assert_eq!(report.clusters, one_thread);
     println!(
-        "4 threads found the same {} reg-clusters as the sequential miner \
+        "4 threads found the same {} reg-clusters as one thread \
          ({} enumeration nodes)",
         report.clusters.len(),
         report.stats.nodes
     );
 
     // Observers are shared by all workers; per-worker statistics are merged
-    // at join, so the report's totals match a sequential run.
+    // at join, so the report's totals match a one-thread run.
     let counter = EmissionCounter::default();
     let (report, _) = MineRequest::new(&miner)
         .threads(4)

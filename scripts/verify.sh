@@ -30,7 +30,8 @@ cargo test -q -p regcluster-store --test torn_write --test checkpoint_file
 cargo test -q -p regcluster-store --test journal
 cargo test -q -p regcluster-core --test fault --test checkpoint
 cargo test -q -p regcluster-cli --test binary -- failpoints_env interrupted_mine
-cargo test -q --test alloc disabled_failpoints
+# Release build: the alloc suite bounds the engine path users run.
+cargo test -q --release --test alloc
 
 echo "==> serve smoke (concurrent clients, overload shedding, graceful shutdown)"
 cargo test -q -p regcluster-cli --test serve_smoke

@@ -18,11 +18,12 @@
 //! The reference explores redundant subtrees instead of pruning them
 //! (prunings (1), (3a), (3b) only skip work that cannot produce new
 //! output), so equality of output *sets* checks both the miner's soundness
-//! and its completeness, including every pruning rule.
+//! and its completeness, including every pruning rule. The engine's thread
+//! count is one more input: every case is mined at 1, 2 and 4 workers.
 
 use proptest::prelude::*;
 
-use regcluster::core::{mine, MiningParams, RegCluster};
+use regcluster::core::{mine, MineRequest, Miner, MiningParams, RegCluster};
 use regcluster::datagen::running_example;
 use regcluster::matrix::ExpressionMatrix;
 
@@ -207,6 +208,17 @@ fn reference_mine(matrix: &ExpressionMatrix, params: &MiningParams) -> Vec<RegCl
         .collect()
 }
 
+/// The library's output through the engine at `threads` workers.
+fn engine_mine(
+    matrix: &ExpressionMatrix,
+    params: &MiningParams,
+    threads: usize,
+) -> Vec<RegCluster> {
+    let miner = Miner::new(matrix, params).expect("valid mining input");
+    let request = MineRequest::new(&miner).threads(threads);
+    request.collect().expect("run completes").0.clusters
+}
+
 fn canonical(mut clusters: Vec<RegCluster>) -> Vec<(Vec<usize>, Vec<usize>, Vec<usize>)> {
     clusters.sort_by(|a, b| a.chain.cmp(&b.chain));
     clusters
@@ -226,9 +238,11 @@ fn reference_agrees_on_running_example() {
         (2, 2, 0.2, 1.0),
     ] {
         let params = MiningParams::new(min_g, min_c, gamma, eps).unwrap();
-        let fast = canonical(mine(&m, &params).unwrap());
         let slow = canonical(reference_mine(&m, &params));
-        assert_eq!(fast, slow, "divergence at {params:?}");
+        for threads in [1, 2, 4] {
+            let fast = canonical(engine_mine(&m, &params, threads));
+            assert_eq!(fast, slow, "divergence at {params:?}, threads = {threads}");
+        }
     }
 }
 
@@ -274,11 +288,12 @@ proptest! {
         eps in 0.0f64..0.6,
         min_g in 1usize..4,
         min_c in 2usize..4,
+        threads in prop::sample::select(vec![1usize, 2, 4]),
     ) {
         let vals: Vec<f64> = values[..n_genes * n_conds].to_vec();
         let m = ExpressionMatrix::from_flat_unlabeled(n_genes, n_conds, vals).unwrap();
         let params = MiningParams::new(min_g, min_c, gamma, eps).unwrap();
-        let fast = canonical(mine(&m, &params).unwrap());
+        let fast = canonical(engine_mine(&m, &params, threads));
         let slow = canonical(reference_mine(&m, &params));
         prop_assert_eq!(fast, slow);
     }
