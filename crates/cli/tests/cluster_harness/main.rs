@@ -218,14 +218,6 @@ impl Harness {
             self.step(&words)
                 .unwrap_or_else(|e| panic!("[{}] line {}: {raw:?}: {e}", self.name, lineno + 1));
         }
-        // Anything still running at the end of the script is torn down.
-        for (_, p) in self.procs.iter_mut() {
-            let _ = p.child.kill();
-        }
-        for (_, p) in self.procs.iter_mut() {
-            let _ = p.child.wait();
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 
     fn step(&mut self, words: &[&str]) -> Result<(), String> {
@@ -603,6 +595,24 @@ impl Harness {
             ));
         }
         Ok(())
+    }
+}
+
+/// Anything still running when the scenario ends — at its last line or
+/// at a failed step's panic — is torn down, so no process outlives the
+/// test holding its port.
+impl Drop for Harness {
+    fn drop(&mut self) {
+        for load in self.loads.values() {
+            load.stop.store(true, Ordering::Relaxed);
+        }
+        for p in self.procs.values_mut() {
+            let _ = p.child.kill();
+        }
+        for p in self.procs.values_mut() {
+            let _ = p.child.wait();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 

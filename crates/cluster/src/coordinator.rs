@@ -128,7 +128,8 @@ struct CoordState {
     metrics: ClusterMetrics,
     registry: MetricsRegistry,
     /// Set by `POST /shutdown`; the run loop and the linger park both
-    /// watch it, so shutdown drains promptly instead of on a timer.
+    /// watch it, so shutdown drains promptly instead of on a timer. The
+    /// run loop also wakes on it when the last shard is staged.
     shutdown: (Mutex<bool>, Condvar),
 }
 
@@ -145,9 +146,16 @@ impl CoordState {
         Ok(())
     }
 
-    fn shutdown_requested(&self) -> bool {
-        *self.shutdown.0.lock().unwrap()
+    /// Wakes the run loop early. Notifying under the `shutdown` lock
+    /// means a waiter cannot miss it between its check and its wait.
+    fn wake(&self) {
+        let _guard = self.shutdown.0.lock().expect("shutdown lock poisoned");
+        self.shutdown.1.notify_all();
     }
+}
+
+fn all_done(slots: &[Slot]) -> bool {
+    slots.iter().all(|s| matches!(s.state, SlotState::Done))
 }
 
 /// Journal file name under the coordinator's work dir.
@@ -408,10 +416,21 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<CoordinatorReport, Clu
     );
 
     // Main loop: sweep silent workers' leases back to the pool until
-    // every range has a validated shard.
+    // every range has a validated shard. Between sweeps it waits on the
+    // shutdown condvar, which `POST /shutdown` and the upload staging
+    // the last shard both notify, so the merge starts at once.
     loop {
-        std::thread::sleep(SWEEP_EVERY);
-        if state.shutdown_requested() {
+        let stopped = {
+            let (lock, cvar) = &state.shutdown;
+            let guard = lock.lock().expect("shutdown lock poisoned");
+            let (guard, _) = cvar
+                .wait_timeout_while(guard, SWEEP_EVERY, |stopped| {
+                    !*stopped && !all_done(&state.slots.lock().expect("slot table lock poisoned"))
+                })
+                .expect("shutdown lock poisoned");
+            *guard
+        };
+        if stopped {
             server.shutdown();
             return Err(ClusterError::Protocol(
                 "shutdown requested before the run completed".into(),
@@ -446,7 +465,7 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<CoordinatorReport, Clu
                 }
             }
         }
-        if slots.iter().all(|s| matches!(s.state, SlotState::Done)) {
+        if all_done(&slots) {
             break;
         }
     }
@@ -550,7 +569,7 @@ fn acquire(state: &CoordState, body: &[u8]) -> Response {
         return Response::text(500, "lease grant fault injected");
     }
     let mut slots = state.slots.lock().unwrap();
-    let all_done = slots.iter().all(|s| matches!(s.state, SlotState::Done));
+    let all_done = all_done(&slots);
     let grant = slots
         .iter_mut()
         .enumerate()
@@ -685,6 +704,11 @@ fn upload(state: &CoordState, path: &str, body: &[u8]) -> Response {
             }
             slot.state = SlotState::Done;
             state.metrics.shards_uploaded.inc();
+            let closed_last = all_done(&slots);
+            drop(slots);
+            if closed_last {
+                state.wake();
+            }
             Response::text(200, "staged")
         }
         _ => {

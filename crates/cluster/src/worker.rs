@@ -19,11 +19,13 @@
 //! TTL of failed renewals, it cancels the [`MineControl`]; the engine
 //! stops early and flushes a final checkpoint, and the worker goes back
 //! to acquiring. Mining output is never uploaded under a lost lease —
-//! the coordinator's epoch check would refuse it anyway.
+//! the coordinator's epoch check would refuse it anyway. The thread
+//! waits out each interval on a condvar, so stopping it when the mine
+//! ends is immediate and the shard upload never waits for a renewal
+//! timer.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use regcluster_core::{
@@ -120,6 +122,15 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, ClusterError> {
     let params: MiningParams = serde_json::from_str(&job.params_json)?;
     params.validate()?;
     let miner = Miner::new(&matrix, &params)?;
+    // Every shard this worker seals carries the same provenance: it
+    // depends only on the job, the matrix and the params.
+    let provenance = StoreProvenance {
+        engine: Some(CLUSTER_ENGINE.to_string()),
+        engine_params: Some(serde_json::to_string(&params)?),
+        generation: job.generation,
+        matrix_fingerprint: Some(job.matrix_fingerprint),
+        root_fingerprints: Some(root_fingerprints(&miner)),
+    };
 
     let registry = MetricsRegistry::new();
     let metrics = WorkerMetrics::register(&registry);
@@ -159,7 +170,15 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, ClusterError> {
         backoff.reset();
         match response.kind.as_str() {
             "grant" => {
-                match mine_lease(cfg, &job, &params, &matrix, &miner, &response, &metrics)? {
+                match mine_lease(
+                    cfg,
+                    &provenance,
+                    &params,
+                    &matrix,
+                    &miner,
+                    &response,
+                    &metrics,
+                )? {
                     LeaseOutcome::Uploaded { resumed } => {
                         report.leases_mined += 1;
                         report.shards_uploaded += 1;
@@ -228,7 +247,7 @@ fn parse_json<T: serde::Deserialize>(bytes: &[u8]) -> Option<T> {
 /// present, heartbeat while mining, seal and upload.
 fn mine_lease(
     cfg: &WorkerConfig,
-    job: &JobInfo,
+    provenance: &StoreProvenance,
     params: &MiningParams,
     matrix: &ExpressionMatrix,
     miner: &Miner<'_>,
@@ -267,13 +286,7 @@ fn mine_lease(
         matrix.gene_names(),
         matrix.condition_names(),
         params,
-        &StoreProvenance {
-            engine: Some(CLUSTER_ENGINE.to_string()),
-            engine_params: Some(serde_json::to_string(params)?),
-            generation: job.generation,
-            matrix_fingerprint: Some(job.matrix_fingerprint),
-            root_fingerprints: Some(root_fingerprints(miner)),
-        },
+        provenance,
     )?;
     let ck_file = CheckpointFile::new(&ck_path);
     let mut plan = CheckpointPlan::new(&ck_file).with_every(cfg.checkpoint_every);
@@ -290,6 +303,9 @@ fn mine_lease(
         .control(&control)
         .checkpoint(plan)
         .run(&writer);
+    // Fault harnesses delay here to keep a mined lease live, and not
+    // yet staged, while they crash a process.
+    regcluster_failpoint::trigger("cluster::lease_hold");
     heartbeat.stop();
 
     // A checkpoint that no longer matches this run (params changed
@@ -383,13 +399,19 @@ fn upload_shard(
 
 /// Handle for the per-lease heartbeat thread.
 struct Heartbeat {
-    stop: Arc<AtomicBool>,
+    /// The stop flag and the condvar the thread waits on between
+    /// renewals.
+    stop: Arc<(Mutex<bool>, Condvar)>,
     handle: std::thread::JoinHandle<()>,
 }
 
 impl Heartbeat {
+    /// Wakes the thread and joins it. Returns as soon as a renewal in
+    /// flight (if any) finishes, not at the next renewal tick.
     fn stop(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        let (flag, wake) = &*self.stop;
+        *flag.lock().expect("no holder of the stop flag panics") = true;
+        wake.notify_all();
         let _ = self.handle.join();
     }
 }
@@ -402,7 +424,7 @@ fn spawn_heartbeat(
     grant: &AcquireResponse,
     control: &MineControl,
 ) -> Heartbeat {
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new((Mutex::new(false), Condvar::new()));
     let stop_thread = Arc::clone(&stop);
     let control = control.clone();
     let coordinator = cfg.coordinator.clone();
@@ -416,11 +438,16 @@ fn spawn_heartbeat(
     let handle = std::thread::spawn(move || {
         let interval = ttl / 3;
         let mut last_ok = Instant::now();
-        while !stop_thread.load(Ordering::SeqCst) {
-            std::thread::sleep(interval);
-            if stop_thread.load(Ordering::SeqCst) {
+        let (flag, wake) = &*stop_thread;
+        loop {
+            let stopped = flag.lock().expect("no holder of the stop flag panics");
+            let (stopped, _) = wake
+                .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+                .expect("no holder of the stop flag panics");
+            if *stopped {
                 break;
             }
+            drop(stopped);
             match http_request(&coordinator, "POST", "/lease/renew", body.as_bytes()) {
                 Ok(reply) if reply.status == 200 => last_ok = Instant::now(),
                 Ok(reply) if reply.status == 409 => {
@@ -439,4 +466,74 @@ fn spawn_heartbeat(
         }
     });
     Heartbeat { stop, handle }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::{HttpServer, Response};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn config(coordinator: String) -> WorkerConfig {
+        WorkerConfig {
+            coordinator,
+            matrix_path: PathBuf::new(),
+            work_dir: PathBuf::new(),
+            worker_id: "w-test".to_string(),
+            threads: 1,
+            checkpoint_every: Duration::from_secs(1),
+            poll: Duration::from_millis(10),
+        }
+    }
+
+    fn grant(ttl_ms: u64) -> AcquireResponse {
+        AcquireResponse {
+            kind: "grant".to_string(),
+            lease: 0,
+            start: 0,
+            end: 1,
+            epoch: 1,
+            ttl_ms,
+        }
+    }
+
+    #[test]
+    fn stop_returns_before_the_first_renewal() {
+        // Nothing listens on port 1; the heartbeat never gets to try.
+        let control = MineControl::new();
+        let heartbeat = spawn_heartbeat(&config("127.0.0.1:1".into()), &grant(30_000), &control);
+        // Let the thread reach its 10 s wait before stopping it; stopping
+        // a thread that has not started waiting is quick either way.
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        heartbeat.stop();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "stop took {took:?}");
+        assert!(!control.is_cancelled());
+    }
+
+    #[test]
+    fn a_fenced_renewal_cancels_the_mine() {
+        let fenced = Arc::new(AtomicU64::new(0));
+        let served = Arc::clone(&fenced);
+        let server = HttpServer::start(0, move |req| match req.path.as_str() {
+            "/lease/renew" => {
+                served.fetch_add(1, Ordering::SeqCst);
+                Response::text(409, "lease lost")
+            }
+            _ => Response::text(404, "not found"),
+        })
+        .unwrap();
+        let control = MineControl::new();
+        let cfg = config(format!("127.0.0.1:{}", server.port()));
+        let heartbeat = spawn_heartbeat(&cfg, &grant(300), &control);
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while !control.is_cancelled() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(control.is_cancelled(), "no cancel within 1 s of a 409");
+        heartbeat.stop();
+        assert!(fenced.load(Ordering::SeqCst) >= 1);
+        server.shutdown();
+    }
 }

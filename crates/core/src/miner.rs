@@ -91,19 +91,27 @@ pub(crate) enum EmitOutcome {
     Duplicate,
 }
 
-/// The prepared input of a mining run: builds the per-gene `RWave^γ` models
-/// once; every [`MineRequest`] over it reuses them.
+/// The `RWave^γ` model of gene `g` under `params`' threshold.
+fn model_of(matrix: &ExpressionMatrix, params: &MiningParams, g: GeneId) -> RWaveModel {
+    let row = matrix.row(g);
+    RWaveModel::build(row, params.gamma.resolve(row))
+}
+
+/// The prepared input of a mining run: indexes the per-gene `RWave^γ`
+/// models once; every [`MineRequest`] over it reuses the index.
 pub struct Miner<'a> {
     matrix: &'a ExpressionMatrix,
     params: &'a MiningParams,
-    models: Vec<RWaveModel>,
-    /// Flat struct-of-arrays projection of `models` for the hot path (see
-    /// [`HotTables`]); rebuilt with the models, never mutated afterwards.
+    /// Flat struct-of-arrays projection of the models for the hot path
+    /// (see [`HotTables`]); never mutated afterwards. The models
+    /// themselves are not kept: the hot path reads only these tables, and
+    /// the models' six small vectors per gene would more than double the
+    /// miner's heap.
     tables: HotTables,
 }
 
 impl<'a> Miner<'a> {
-    /// Builds the `RWave^γ` models for every gene.
+    /// Builds the `RWave^γ` models for every gene and indexes them.
     ///
     /// # Errors
     ///
@@ -111,24 +119,22 @@ impl<'a> Miner<'a> {
     /// validation.
     pub fn new(matrix: &'a ExpressionMatrix, params: &'a MiningParams) -> Result<Self, CoreError> {
         params.validate()?;
-        let models: Vec<RWaveModel> = (0..matrix.n_genes())
-            .map(|g| {
-                let row = matrix.row(g);
-                RWaveModel::build(row, params.gamma.resolve(row))
-            })
-            .collect();
-        let tables = HotTables::build(&models, matrix.n_conditions());
+        let tables = HotTables::build(
+            (0..matrix.n_genes()).map(|g| model_of(matrix, params, g)),
+            matrix.n_conditions(),
+        );
         Ok(Self {
             matrix,
             params,
-            models,
             tables,
         })
     }
 
-    /// The per-gene models (exposed for inspection and reporting).
-    pub fn models(&self) -> &[RWaveModel] {
-        &self.models
+    /// The per-gene models, built afresh (for inspection and reporting).
+    pub fn models(&self) -> Vec<RWaveModel> {
+        (0..self.matrix.n_genes())
+            .map(|g| model_of(self.matrix, self.params, g))
+            .collect()
     }
 
     /// The matrix this miner was built over (for checkpoint provenance).
@@ -157,7 +163,7 @@ impl<'a> Miner<'a> {
         // `maxlen_fwd(r) ≥ MinC ⟺ r < fwd_ge[MinC]` and
         // `maxlen_bwd(r) ≥ MinC ⟺ r ≥ bwd_start[MinC]` — the threshold
         // tables make the root sweep a flat sequential walk.
-        for g in 0..self.models.len() {
+        for g in 0..self.matrix.n_genes() {
             let r = t.rank_of(g, root) as u32;
             let fwd_cut = t.fwd_cutoff(g, idx);
             let bwd_first = t.bwd_first(g, idx);

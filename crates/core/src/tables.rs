@@ -76,8 +76,9 @@ pub struct HotTables {
 
 impl HotTables {
     /// Builds the tables for `models` (one per gene, each over `n_conds`
-    /// conditions).
-    pub fn build(models: &[RWaveModel], n_conds: usize) -> Self {
+    /// conditions). Each model is consumed as soon as its rows are
+    /// written, so the models never all live at once.
+    pub fn build(models: impl ExactSizeIterator<Item = RWaveModel>, n_conds: usize) -> Self {
         let n = n_conds;
         let g_count = models.len();
         let words = words_for(n);
@@ -100,7 +101,7 @@ impl HotTables {
         let mut mf: Vec<u32> = Vec::with_capacity(n);
         let mut mb: Vec<u32> = Vec::with_capacity(n);
 
-        for (g, model) in models.iter().enumerate() {
+        for (g, model) in models.enumerate() {
             debug_assert_eq!(model.len(), n, "model/matrix condition count mismatch");
             let base = g * n;
             mf.clear();
@@ -265,7 +266,7 @@ mod tests {
     fn tables_agree_with_model_queries() {
         let model = g1_model();
         let n = model.len();
-        let t = HotTables::build(std::slice::from_ref(&model), n);
+        let t = HotTables::build(std::iter::once(model.clone()), n);
         for c in 0..n {
             assert_eq!(t.rank_of(0, c), model.rank_of(c));
         }
@@ -298,7 +299,7 @@ mod tests {
     fn accumulate_candidates_sets_rank_range_conditions() {
         let model = g1_model();
         let n = model.len();
-        let t = HotTables::build(std::slice::from_ref(&model), n);
+        let t = HotTables::build(std::iter::once(model.clone()), n);
         assert!(t.has_suffix_masks());
         for lo in 0..=n as u32 {
             for hi in 0..=n as u32 {

@@ -20,7 +20,8 @@
 //! optional trailing `@n` (1-based) fires the action only on the n-th
 //! evaluation of that site instead of every evaluation. `delay` carries
 //! its millisecond argument first, so `delay@250@3` sleeps 250 ms on the
-//! third evaluation only.
+//! third evaluation only; a range `delay@1000..1500` sleeps a duration
+//! drawn uniformly from those bounds (inclusive) each time it fires.
 //!
 //! # Network fault actions
 //!
@@ -85,6 +86,7 @@ pub const SITES: &[&str] = &[
     "cluster::http_request",
     "cluster::http_response",
     "cluster::upload_response",
+    "cluster::lease_hold",
 ];
 
 /// Metric family name under which fired-fault counters are exported.
@@ -100,9 +102,15 @@ pub enum Action {
     IoErr,
     /// The site panics, simulating a crashed worker thread.
     Panic,
-    /// The site sleeps this many milliseconds, then proceeds — a slow
-    /// link or an overloaded peer.
-    Delay(u64),
+    /// The site sleeps between `min_ms` and `max_ms` milliseconds
+    /// (inclusive, uniform; equal bounds sleep exactly that long), then
+    /// proceeds — a slow link or an overloaded peer.
+    Delay {
+        /// Shortest sleep.
+        min_ms: u64,
+        /// Longest sleep.
+        max_ms: u64,
+    },
     /// A [`net`] site closes the connection without answering
     /// (accept-then-close / partition); an [`io`] site degrades this to
     /// the injected error.
@@ -131,7 +139,7 @@ struct Armed {
     fire_at: Option<u64>,
 }
 
-const N_SITES: usize = 17;
+const N_SITES: usize = 18;
 const _: () = assert!(SITES.len() == N_SITES, "keep N_SITES in sync with SITES");
 
 /// Fast-path gate: false (the default) means every site is a
@@ -199,10 +207,21 @@ pub fn configure(spec: &str) -> Result<(), String> {
                         "failpoint entry {entry:?}: delay needs a millisecond argument (delay@ms)"
                     )
                 })?;
-                let ms: u64 = ms.parse().map_err(|_| {
-                    format!("failpoint entry {entry:?}: bad delay milliseconds {ms:?}")
-                })?;
-                Action::Delay(ms)
+                let parse_ms = |v: &str| -> Result<u64, String> {
+                    v.trim().parse().map_err(|_| {
+                        format!("failpoint entry {entry:?}: bad delay milliseconds {ms:?}")
+                    })
+                };
+                let (min_ms, max_ms) = match ms.split_once("..") {
+                    Some((lo, hi)) => (parse_ms(lo)?, parse_ms(hi)?),
+                    None => (parse_ms(ms)?, parse_ms(ms)?),
+                };
+                if min_ms > max_ms {
+                    return Err(format!(
+                        "failpoint entry {entry:?}: delay range {ms:?} is empty"
+                    ));
+                }
+                Action::Delay { min_ms, max_ms }
             }
             other => {
                 return Err(format!(
@@ -284,7 +303,7 @@ pub fn io(site: &'static str) -> std::io::Result<()> {
         Some((Action::IoErr | Action::Drop | Action::Garble, hit)) => Err(std::io::Error::other(
             format!("injected failpoint error at {site} (hit {hit})"),
         )),
-        Some((Action::Delay(_), _)) | None => Ok(()),
+        Some((Action::Delay { .. }, _)) | None => Ok(()),
         Some((Action::Panic, _)) => unreachable!("slow() panics on Panic"),
     }
 }
@@ -322,7 +341,7 @@ pub fn net(site: &'static str) -> NetFault {
     match slow(site) {
         Some((Action::Drop | Action::IoErr, _)) => NetFault::Drop,
         Some((Action::Garble, _)) => NetFault::Garble,
-        Some((Action::Delay(_), _)) | None => NetFault::Pass,
+        Some((Action::Delay { .. }, _)) | None => NetFault::Pass,
         Some((Action::Panic, _)) => unreachable!("slow() panics on Panic"),
     }
 }
@@ -353,12 +372,23 @@ fn slow(site: &'static str) -> Option<(Action, u64)> {
     }
     match armed.action {
         Action::Panic => panic!("injected failpoint panic at {site} (hit {hit})"),
-        Action::Delay(ms) => {
+        Action::Delay { min_ms, max_ms } => {
+            let ms = min_ms + draw(hit) % (max_ms - min_ms).saturating_add(1);
             std::thread::sleep(std::time::Duration::from_millis(ms));
             Some((armed.action, hit))
         }
         _ => Some((armed.action, hit)),
     }
+}
+
+/// A random draw for a ranged `delay`: std's per-process random hash
+/// keys mixed with the hit ordinal, so concurrent processes armed with
+/// the same range do not sleep in lockstep.
+fn draw(hit: u64) -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+    h.write_u64(hit);
+    h.finish()
 }
 
 /// Faults fired at `site` since process start (cumulative across
@@ -375,6 +405,10 @@ pub fn fired(site: &str) -> u64 {
 /// Mirrors the per-site fired counters into `registry` as
 /// [`FIRED_METRIC`]`{site=…}` series, seeding each with the count fired
 /// so far, and keeps them updated as further faults fire.
+///
+/// Each call also forgets the mirrors of registries that have since
+/// been dropped, so a process that registers once per run (an
+/// in-process coordinator loop) keeps one mirror per live registry.
 pub fn register_metrics(registry: &MetricsRegistry) {
     let counters: Vec<Counter> = SITES
         .iter()
@@ -393,7 +427,9 @@ pub fn register_metrics(registry: &MetricsRegistry) {
         })
         .collect();
     let mirror: [Counter; N_SITES] = counters.try_into().expect("SITES.len() == N_SITES");
-    lock(&MIRRORS).push(mirror);
+    let mut mirrors = lock(&MIRRORS);
+    mirrors.retain(|m| !m.iter().all(Counter::is_sole_handle));
+    mirrors.push(mirror);
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -499,6 +535,29 @@ mod tests {
     }
 
     #[test]
+    fn delay_range_sleeps_within_its_bounds() {
+        let _guard = lock(&SERIAL);
+        configure("cluster::lease_hold=delay@20..60").unwrap();
+        for _ in 0..3 {
+            let start = std::time::Instant::now();
+            trigger("cluster::lease_hold");
+            let slept = start.elapsed();
+            assert!(slept >= std::time::Duration::from_millis(20), "{slept:?}");
+        }
+        assert_eq!(
+            lock(&CONFIG).unwrap()[site_index("cluster::lease_hold").unwrap()].map(|a| a.action),
+            Some(Action::Delay {
+                min_ms: 20,
+                max_ms: 60
+            })
+        );
+        assert!(configure("cluster::lease_hold=delay@60..20").is_err());
+        assert!(configure("cluster::lease_hold=delay@1..x").is_err());
+        assert!(configure("cluster::lease_hold=delay@..5").is_err());
+        clear();
+    }
+
+    #[test]
     fn net_degrades_io_err_and_io_degrades_net_actions() {
         let _guard = lock(&SERIAL);
         configure("cluster::http_response=io_err;store::rename=garble;store::fsync_file=drop")
@@ -529,6 +588,32 @@ mod tests {
             vec![FIRED_METRIC.to_string()],
             "one family, one series per site"
         );
+        clear();
+    }
+
+    #[test]
+    fn dropped_registries_leave_the_mirror_list() {
+        let _guard = lock(&SERIAL);
+        let live = MetricsRegistry::new();
+        register_metrics(&live);
+        for _ in 0..1000 {
+            let gone = MetricsRegistry::new();
+            register_metrics(&gone);
+        }
+        // The last dropped registry's mirror goes at the next call.
+        let also_live = MetricsRegistry::new();
+        register_metrics(&also_live);
+        assert!(lock(&MIRRORS).len() <= 2, "{}", lock(&MIRRORS).len());
+        // The survivors still count fired faults.
+        let handle = live.counter(
+            FIRED_METRIC,
+            "Injected faults fired per failpoint site.",
+            &[("site", "store::dir_sync")],
+        );
+        let before = handle.get();
+        configure("store::dir_sync=io_err@1").unwrap();
+        assert!(io("store::dir_sync").is_err());
+        assert_eq!(handle.get(), before + 1);
         clear();
     }
 }

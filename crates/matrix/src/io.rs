@@ -40,29 +40,6 @@ impl RaggedMatrix {
     pub fn n_missing(&self) -> usize {
         self.cells.iter().filter(|c| c.is_none()).count()
     }
-
-    /// Converts into a complete [`ExpressionMatrix`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error naming the first missing cell, if any.
-    pub fn into_complete(self) -> Result<ExpressionMatrix, MatrixError> {
-        let n = self.conditions.len();
-        let mut values = Vec::with_capacity(self.cells.len());
-        for (i, cell) in self.cells.iter().enumerate() {
-            match cell {
-                Some(v) => values.push(*v),
-                None => {
-                    return Err(MatrixError::BadValue {
-                        row: i / n,
-                        col: i % n,
-                        token: "<missing>".into(),
-                    })
-                }
-            }
-        }
-        ExpressionMatrix::from_flat(self.genes, self.conditions, values)
-    }
 }
 
 fn is_missing_token(tok: &str) -> bool {
@@ -70,6 +47,17 @@ fn is_missing_token(tok: &str) -> bool {
         || tok.eq_ignore_ascii_case("na")
         || tok.eq_ignore_ascii_case("nan")
         || tok == "?"
+}
+
+/// One pass over the text: the labels plus row-major values, with `NaN`
+/// standing in for each hole listed in `missing`. Values are parsed
+/// straight into `f64`s, so a complete matrix never holds a
+/// `Vec<Option<f64>>` twice its final size.
+struct Parsed {
+    genes: Vec<String>,
+    conditions: Vec<String>,
+    values: Vec<f64>,
+    missing: Vec<usize>,
 }
 
 /// Parses a tab-delimited matrix, keeping missing values as holes.
@@ -82,6 +70,19 @@ fn is_missing_token(tok: &str) -> bool {
 /// Returns an error on ragged rows, unparsable numeric tokens, duplicate
 /// labels or an empty matrix.
 pub fn read_ragged<R: Read>(reader: R) -> Result<RaggedMatrix, MatrixError> {
+    let parsed = parse(reader)?;
+    let mut cells: Vec<Option<f64>> = parsed.values.into_iter().map(Some).collect();
+    for i in parsed.missing {
+        cells[i] = None;
+    }
+    Ok(RaggedMatrix {
+        genes: parsed.genes,
+        conditions: parsed.conditions,
+        cells,
+    })
+}
+
+fn parse<R: Read>(reader: R) -> Result<Parsed, MatrixError> {
     let reader = BufReader::new(reader);
     let mut lines = reader.lines();
 
@@ -115,7 +116,8 @@ pub fn read_ragged<R: Read>(reader: R) -> Result<RaggedMatrix, MatrixError> {
     }
 
     let mut genes = Vec::new();
-    let mut cells = Vec::new();
+    let mut values = Vec::new();
+    let mut missing = Vec::new();
     let mut row = 0usize;
     for line in lines {
         let line = line?;
@@ -140,7 +142,8 @@ pub fn read_ragged<R: Read>(reader: R) -> Result<RaggedMatrix, MatrixError> {
                 });
             }
             if is_missing_token(tok) {
-                cells.push(None);
+                missing.push(values.len());
+                values.push(f64::NAN);
             } else {
                 let v: f64 = tok.parse().map_err(|_| MatrixError::BadValue {
                     row,
@@ -153,7 +156,7 @@ pub fn read_ragged<R: Read>(reader: R) -> Result<RaggedMatrix, MatrixError> {
                         cond: col,
                     });
                 }
-                cells.push(Some(v));
+                values.push(v);
             }
             count += 1;
         }
@@ -186,10 +189,11 @@ pub fn read_ragged<R: Read>(reader: R) -> Result<RaggedMatrix, MatrixError> {
             }
         }
     }
-    Ok(RaggedMatrix {
+    Ok(Parsed {
         genes,
         conditions,
-        cells,
+        values,
+        missing,
     })
 }
 
@@ -199,7 +203,16 @@ pub fn read_ragged<R: Read>(reader: R) -> Result<RaggedMatrix, MatrixError> {
 ///
 /// As [`read_ragged`], plus an error if any cell is missing.
 pub fn read_matrix<R: Read>(reader: R) -> Result<ExpressionMatrix, MatrixError> {
-    read_ragged(reader)?.into_complete()
+    let parsed = parse(reader)?;
+    if let Some(&i) = parsed.missing.first() {
+        let n = parsed.conditions.len();
+        return Err(MatrixError::BadValue {
+            row: i / n,
+            col: i % n,
+            token: "<missing>".into(),
+        });
+    }
+    ExpressionMatrix::from_flat(parsed.genes, parsed.conditions, parsed.values)
 }
 
 /// Reads a matrix from a file path. See [`read_matrix`].

@@ -67,6 +67,12 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
+
+    /// Whether this is the last handle on the cell: the registry that
+    /// exported it, and every other clone, has been dropped.
+    pub fn is_sole_handle(&self) -> bool {
+        Arc::strong_count(&self.cell) == 1
+    }
 }
 
 /// Shared state of a registered histogram.

@@ -39,10 +39,12 @@ cargo test -q -p regcluster-cli --test serve_smoke
 echo "==> cluster smoke (coordinator/worker/replica processes, SIGKILL + restart, torn uploads, journal replay, network faults, golden merges)"
 if [[ "$QUICK" == 1 ]]; then
   # Shared-runner subset: one golden smoke plus the durable-control-plane
-  # scenarios (journal replay after SIGKILL, renew storm through a delayed
-  # link, garbled upload ack retried idempotently).
+  # scenarios (lease expiry after a worker SIGKILL, journal replay after a
+  # coordinator SIGKILL, renew storm through a delayed link, garbled
+  # upload ack retried idempotently).
   cargo test -q -p regcluster-cli --test cluster_harness -- \
     smoke_two_workers_match_single_node_golden \
+    worker_crash_reassigns_and_resumes \
     coordinator_kill_mid_grant_replays_journal_without_fencing \
     renew_storm_survives_a_delayed_link \
     garbled_upload_response_is_retried_idempotently
