@@ -1,11 +1,10 @@
 //! HTTP serving layer over a [`ClusterStore`].
 //!
-//! A deliberately minimal HTTP/1.1 server on [`std::net::TcpListener`] —
-//! no external dependencies, consistent with the workspace's vendored-stub
-//! policy. One acceptor thread feeds a fixed pool of worker threads over a
-//! channel; each connection carries one `GET` request and is closed after
-//! the response (`Connection: close`), which keeps the worker loop trivial
-//! and is plenty for query traffic over a local store.
+//! The routes, metrics, `--watch` swapper and `--requests` budget of
+//! `regcluster serve`, run as a handler on the workspace's one HTTP
+//! server, [`HttpServer`], on a fixed pool of [`ServeConfig::threads`]
+//! workers; each connection carries one `GET` request and is closed
+//! after the response (`Connection: close`).
 //!
 //! Endpoints (JSON unless noted):
 //!
@@ -26,33 +25,29 @@
 //!
 //! # Shutdown
 //!
-//! [`Server::shutdown`] (the SIGINT-equivalent) sets a flag, wakes the
-//! acceptor with a loopback connection, lets the workers **drain** every
-//! already-accepted connection, then joins all threads — no worker leak,
-//! socket released. A request budget ([`ServeConfig::max_requests`])
-//! triggers the same path from inside a worker, which is how the smoke
-//! tests and `--requests` exercise graceful shutdown end-to-end.
+//! [`Server::shutdown`] (the SIGINT-equivalent) stops accepting, lets the
+//! workers **drain** every already-accepted connection, then joins all
+//! threads — no worker leak, socket released. Spending the request budget
+//! ([`ServeConfig::max_requests`]) wakes [`Server::wait`], which takes the
+//! same path; that is how the smoke tests and `--requests` exercise
+//! graceful shutdown end-to-end.
 //!
 //! # Load shedding
 //!
-//! The acceptor hands connections to the workers over a **bounded** queue
-//! ([`ServeConfig::queue_capacity`]). When every worker is busy and the
-//! queue is full, further connections are answered immediately with
-//! `503 Service Unavailable` + `Retry-After: 1` and closed, instead of
-//! piling up until the kernel backlog overflows and clients time out
-//! blind. Shed connections are counted by the
-//! [`HTTP_SHED_METRIC`] counter on `/metrics`, so overload is visible the
-//! moment it starts (see `docs/ROBUSTNESS.md`).
+//! When every worker is busy and the bounded queue
+//! ([`ServeConfig::queue_capacity`]) is full, the server answers
+//! `503 Service Unavailable` + `Retry-After: 1` at once and counts it on
+//! [`HTTP_SHED_METRIC`] (see the server's docs and `docs/ROBUSTNESS.md`).
+//! Requests it rejects before routing (malformed, oversized, timed out)
+//! get a JSON error and are not counted as handled.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use regcluster_cluster::http::{HttpConfig, HttpServer, Request, Response};
 use regcluster_obs::{Counter, Histogram, MetricsRegistry};
 use regcluster_store::{ClusterStore, Generations, Query, StoreStats};
 use serde::Serialize;
@@ -261,11 +256,6 @@ pub struct ClustersResponse {
     pub clusters: Vec<ClusterDoc>,
 }
 
-#[derive(Debug, Clone, Serialize)]
-struct ErrorResponse {
-    error: String,
-}
-
 /// What a finished server reports.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeReport {
@@ -349,10 +339,12 @@ struct Shared {
     /// holds pre-resolved handles into it.
     registry: MetricsRegistry,
     metrics: ServeMetrics,
+    /// Stops the watcher.
     stop: AtomicBool,
-    port: u16,
     max_requests: Option<u64>,
-    io_timeout: Duration,
+    /// Set once `max_requests` requests have been handled; [`Server::wait`]
+    /// waits on it.
+    budget_spent: (Mutex<bool>, Condvar),
 }
 
 impl Shared {
@@ -388,112 +380,51 @@ impl Shared {
             )
             .inc();
     }
-
-    /// Sets the stop flag and wakes the acceptor (idempotent).
-    fn trigger_shutdown(&self) {
-        if !self.stop.swap(true, Ordering::SeqCst) {
-            // A loopback connection unblocks the blocking accept; the
-            // acceptor re-checks the flag before queueing it.
-            let _ = TcpStream::connect(("127.0.0.1", self.port));
-        }
-    }
 }
 
 /// A running cluster-store server. See the module docs for endpoints and
 /// the shutdown protocol.
 pub struct Server {
+    http: HttpServer,
     shared: Arc<Shared>,
-    acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
     watcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `127.0.0.1:{config.port}` and starts the acceptor and worker
-    /// threads. Returns once the socket is listening.
+    /// Binds `127.0.0.1:{config.port}` and starts the server's threads
+    /// and the watcher. Returns once the socket is listening.
     ///
     /// # Errors
     ///
     /// Any bind failure, as [`std::io::Error`].
     pub fn start(store: Arc<ClusterStore>, config: &ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(("127.0.0.1", config.port))?;
-        let port = listener.local_addr()?.port();
         let registry = MetricsRegistry::new();
         let metrics = ServeMetrics::register(&registry);
+        let shed_counter = metrics.shed.clone();
         let initial_generation = store.generation();
         let shared = Arc::new(Shared {
             store: RwLock::new(store),
             registry,
             metrics,
             stop: AtomicBool::new(false),
-            port,
             max_requests: config.max_requests,
-            io_timeout: config.io_timeout,
+            budget_spent: (Mutex::new(false), Condvar::new()),
         });
         shared.record_generation(initial_generation);
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            sync_channel(config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                loop {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if shared.stop.load(Ordering::SeqCst) {
-                                break; // the wake-up connection, or late traffic
-                            }
-                            match tx.try_send(stream) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full(stream)) => {
-                                    // Overload: every worker busy and the
-                                    // queue full. Shed instead of queueing
-                                    // unboundedly; the client gets an
-                                    // immediate, honest retry signal.
-                                    shared.metrics.shed.inc();
-                                    shed_connection(stream, shared.io_timeout);
-                                }
-                                Err(TrySendError::Disconnected(_)) => break,
-                            }
-                        }
-                        Err(_) => {
-                            if shared.stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                        }
-                    }
-                }
-                // Dropping the sender closes the channel; workers drain
-                // whatever was already accepted, then exit.
-            })
+        let http = HttpConfig {
+            port: config.port,
+            threads: config.threads,
+            queue: config.queue_capacity,
+            io_timeout: config.io_timeout,
+            // Every route is a GET: bodies are refused, never buffered.
+            max_body: 0,
+            shed_counter: Some(shed_counter),
+            response_site: "serve::http_response",
         };
-
-        let workers = (0..config.threads.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    let next = {
-                        let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        guard.recv()
-                    };
-                    let Ok(stream) = next else {
-                        break; // channel closed and drained
-                    };
-                    let handled = handle_connection(stream, &shared);
-                    if handled {
-                        let total = shared.metrics.total();
-                        if shared.max_requests.is_some_and(|cap| total >= cap) {
-                            shared.trigger_shutdown();
-                        }
-                    }
-                })
-            })
-            .collect();
+        let http = {
+            let shared = Arc::clone(&shared);
+            HttpServer::start_with(http, move |req| handle(&shared, req))?
+        };
 
         // --watch: poll the generations directory's CURRENT pointer and
         // hot-swap to each newly published generation. The watcher never
@@ -542,37 +473,23 @@ impl Server {
         });
 
         Ok(Server {
+            http,
             shared,
-            acceptor,
-            workers,
             watcher,
         })
     }
 
     /// The bound port (resolves port 0 to the actual ephemeral port).
     pub fn port(&self) -> u16 {
-        self.shared.port
+        self.http.port()
     }
 
     /// Requests shutdown (the SIGINT-equivalent) and waits for the drain:
     /// already-accepted connections are still served, then all threads are
     /// joined and the socket is released.
     pub fn shutdown(self) -> ServeReport {
-        self.shared.trigger_shutdown();
-        self.join()
-    }
-
-    /// Blocks until the server stops on its own — via the request budget,
-    /// or never for an unbounded server.
-    pub fn wait(self) -> ServeReport {
-        self.join()
-    }
-
-    fn join(self) -> ServeReport {
-        let _ = self.acceptor.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.http.shutdown();
         if let Some(w) = self.watcher {
             let _ = w.join();
         }
@@ -580,111 +497,44 @@ impl Server {
             requests: self.shared.metrics.total(),
         }
     }
-}
 
-/// Set once the socket-timeout setters have failed and been reported;
-/// later failures stay quiet so a broken platform doesn't flood stderr.
-static TIMEOUT_SETUP_LOGGED: AtomicBool = AtomicBool::new(false);
-
-/// Arms read/write timeouts on `stream`. Failure is survivable — the
-/// connection is served without timeout protection — but it is reported
-/// once per process rather than silently discarded.
-fn arm_timeouts(stream: &TcpStream, timeout: Duration) {
-    let result = stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|()| stream.set_write_timeout(Some(timeout)));
-    if let Err(e) = result {
-        if !TIMEOUT_SETUP_LOGGED.swap(true, Ordering::Relaxed) {
-            eprintln!(
-                "regcluster serve: could not arm socket timeouts ({e}); \
-                 serving without them — slow clients may pin workers"
-            );
+    /// Blocks until the request budget is spent, then shuts down as
+    /// [`shutdown`](Server::shutdown) does. An unbounded server never
+    /// returns.
+    pub fn wait(self) -> ServeReport {
+        let (lock, cvar) = &self.shared.budget_spent;
+        let mut spent = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*spent {
+            spent = cvar.wait(spent).unwrap_or_else(PoisonError::into_inner);
         }
+        drop(spent);
+        self.shutdown()
     }
 }
 
-/// Is `e` the read-timeout expiring? (`WouldBlock` on Unix,
-/// `TimedOut` on Windows — both mean the peer went quiet.)
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Handles one connection (one request). Returns whether a request was
-/// actually parsed and counted.
-fn handle_connection(stream: TcpStream, shared: &Shared) -> bool {
+/// Handles one request: routes it, records it, and spends the budget.
+fn handle(shared: &Shared, req: &Request) -> Response {
     let started = Instant::now();
-    arm_timeouts(&stream, shared.io_timeout);
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Err(e) if is_timeout(&e) => {
-            // The client connected but never sent a request line. Answer
-            // cleanly instead of resetting, so the client can tell a
-            // deliberate timeout from a crash.
-            let mut stream = reader.into_inner();
-            respond(&mut stream, 408, JSON, &json_error("request timed out"));
-            shared.metrics.record(OTHER_SLOT, started);
-            return true;
-        }
-        Err(_) => return false,                   // dead client
-        Ok(_) if line.is_empty() => return false, // wake-up connection / EOF
-        Ok(_) => {}
-    }
-    // Drain headers so well-behaved clients aren't reset mid-send.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => continue,
-            Err(_) => break,
-        }
-    }
-    let mut stream = reader.into_inner();
-
-    let mut parts = line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m, t),
-        _ => {
-            respond(
-                &mut stream,
-                400,
-                JSON,
-                &json_error("malformed request line"),
-            );
-            return false;
-        }
+    let (route, response) = if req.method == "GET" {
+        let (path, query) = req.path.split_once('?').unwrap_or((&req.path, ""));
+        route_request(shared, path, query)
+    } else {
+        (OTHER_SLOT, Response::error(405, "only GET is supported"))
     };
-    if method != "GET" {
-        respond(&mut stream, 405, JSON, &json_error("only GET is supported"));
-        shared.metrics.record(OTHER_SLOT, started);
-        return true;
+    let total = shared.metrics.record(route, started);
+    if shared.max_requests.is_some_and(|cap| total >= cap) {
+        let (lock, cvar) = &shared.budget_spent;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        cvar.notify_all();
     }
-
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let (route, status, content_type, body) = route_request(shared, path, query);
-    respond(&mut stream, status, content_type, &body);
-    shared.metrics.record(route, started);
-    true
+    response
 }
 
-/// `Content-Type` of every JSON endpoint.
-const JSON: &str = "application/json";
-/// `Content-Type` of `/metrics` (Prometheus text exposition 0.0.4).
-const PROMETHEUS_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
 /// Metrics slot of unmatched paths / methods.
 const OTHER_SLOT: usize = ROUTES.len() - 1;
 
-/// Dispatches a parsed request, returning
-/// (metrics slot, status, content type, body).
-fn route_request(shared: &Shared, path: &str, query: &str) -> (usize, u16, &'static str, String) {
+/// Dispatches a `GET`, returning its metrics slot and response.
+fn route_request(shared: &Shared, path: &str, query: &str) -> (usize, Response) {
     // One snapshot per request: a concurrent hot swap affects the *next*
     // request, never this one, and the old generation stays alive until
     // its last in-flight reader drops this Arc.
@@ -693,7 +543,7 @@ fn route_request(shared: &Shared, path: &str, query: &str) -> (usize, u16, &'sta
     match path {
         "/health" => {
             let body = format!("{{\"status\":\"ok\",\"clusters\":{}}}", store.n_clusters());
-            (0, 200, JSON, body)
+            (0, Response::json(200, body))
         }
         "/stats" => {
             let endpoints = ROUTES
@@ -718,38 +568,39 @@ fn route_request(shared: &Shared, path: &str, query: &str) -> (usize, u16, &'sta
                 endpoints,
             };
             match serde_json::to_string(&doc) {
-                Ok(body) => (1, 200, JSON, body),
-                Err(e) => (1, 500, JSON, json_error(&e.to_string())),
+                Ok(body) => (1, Response::json(200, body)),
+                Err(e) => (1, Response::error(500, &e.to_string())),
             }
         }
         "/clusters" => match clusters_query(store, query) {
-            Ok(body) => (2, 200, JSON, body),
-            Err(msg) => (2, 400, JSON, json_error(&msg)),
+            Ok(body) => (2, Response::json(200, body)),
+            Err(msg) => (2, Response::error(400, &msg)),
         },
-        "/metrics" => (4, 200, PROMETHEUS_TEXT, shared.registry.encode_prometheus()),
+        "/metrics" => (4, Response::prometheus(shared.registry.encode_prometheus())),
         _ => {
             if let Some(rest) = path.strip_prefix("/clusters/") {
                 match rest.parse::<u32>() {
                     Ok(id) if id < store.n_clusters() => {
                         match cluster_doc(store, id).map(|d| serde_json::to_string(&d)) {
-                            Ok(Ok(body)) => (3, 200, JSON, body),
-                            Ok(Err(e)) => (3, 500, JSON, json_error(&e.to_string())),
-                            Err(e) => (3, 500, JSON, json_error(&e.to_string())),
+                            Ok(Ok(body)) => (3, Response::json(200, body)),
+                            Ok(Err(e)) => (3, Response::error(500, &e.to_string())),
+                            Err(e) => (3, Response::error(500, &e.to_string())),
                         }
                     }
                     Ok(id) => (
                         3,
-                        404,
-                        JSON,
-                        json_error(&format!(
-                            "cluster {id} not found (store holds {})",
-                            store.n_clusters()
-                        )),
+                        Response::error(
+                            404,
+                            &format!(
+                                "cluster {id} not found (store holds {})",
+                                store.n_clusters()
+                            ),
+                        ),
                     ),
-                    Err(_) => (3, 400, JSON, json_error("cluster id must be an integer")),
+                    Err(_) => (3, Response::error(400, "cluster id must be an integer")),
                 }
             } else {
-                (OTHER_SLOT, 404, JSON, json_error("unknown path"))
+                (OTHER_SLOT, Response::error(404, "unknown path"))
             }
         }
     }
@@ -839,44 +690,6 @@ fn percent_decode(s: &str) -> Result<String, String> {
         }
     }
     String::from_utf8(out).map_err(|_| format!("query value {s:?} is not UTF-8"))
-}
-
-fn json_error(msg: &str) -> String {
-    serde_json::to_string(&ErrorResponse {
-        error: msg.to_string(),
-    })
-    .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_string())
-}
-
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
-    };
-    let response = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
-}
-
-/// Answers a shed connection from the acceptor thread: `503` with a
-/// `Retry-After` hint so well-behaved clients back off instead of
-/// hammering a saturated server. Best-effort — the client may already be
-/// gone, and the acceptor must not block on it.
-fn shed_connection(mut stream: TcpStream, timeout: Duration) {
-    arm_timeouts(&stream, timeout);
-    let body = json_error("server overloaded; retry shortly");
-    let response = format!(
-        "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Type: {JSON}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
 }
 
 #[cfg(test)]

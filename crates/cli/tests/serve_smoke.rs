@@ -1,11 +1,13 @@
 //! Smoke tests of the HTTP serving layer: a real socket, ≥ 32 concurrent
 //! clients, metrics via /stats and the Prometheus /metrics endpoint
 //! (text-format well-formedness, monotone counters across scrapes), and
-//! graceful shutdown (threads joined, port released).
+//! graceful shutdown (threads joined, port released), and network
+//! faults injected at `serve::http_response`.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -621,4 +623,102 @@ fn silent_client_gets_408_not_a_reset() {
     let (status, body) = get(port, "/health");
     assert_eq!(status, 200, "{body}");
     server.shutdown();
+}
+
+/// Runs `regcluster serve` on `store` in a process of its own, armed with
+/// `FAILPOINTS=spec` (failpoints are process-global, so arming them here
+/// would hit the other tests' servers), stopping after `requests`
+/// requests. Sends `paths` in order, then waits for the exit; returns
+/// the raw responses.
+fn serve_with_failpoints(
+    store: &Path,
+    spec: &str,
+    requests: usize,
+    paths: &[&str],
+) -> Vec<Vec<u8>> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_regcluster"))
+        .args(["serve", "--port", "0", "--requests", &requests.to_string()])
+        .arg("--store")
+        .arg(store)
+        .env("FAILPOINTS", spec)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = BufReader::new(child.stderr.take().unwrap()).lines();
+    let port: u16 = stderr
+        .by_ref()
+        .find_map(|line| {
+            let line = line.ok()?;
+            line.split("http://127.0.0.1:")
+                .nth(1)?
+                .split('/')
+                .next()?
+                .parse()
+                .ok()
+        })
+        .expect("serve announces its port on stderr");
+    let responses = paths
+        .iter()
+        .map(|path| {
+            let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+            write!(stream, "GET {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n").unwrap();
+            let mut raw = Vec::new();
+            let _ = stream.read_to_end(&mut raw);
+            raw
+        })
+        .collect();
+    let rest: Vec<String> = stderr.map_while(Result::ok).collect();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "serve failed: {rest:?}");
+    let served = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(served, format!("served {requests} requests\n"));
+    responses
+}
+
+#[test]
+fn injected_response_faults_drop_or_tear_one_answer_and_serving_goes_on() {
+    let store_path = build_store("chaos.rcs");
+
+    // A dropped response: the first request gets no answer at all.
+    let raw = serve_with_failpoints(
+        &store_path,
+        "serve::http_response=drop@1",
+        2,
+        &["/health", "/health"],
+    );
+    assert!(
+        raw[0].is_empty(),
+        "dropped: {:?}",
+        String::from_utf8_lossy(&raw[0])
+    );
+    let second = String::from_utf8(raw[1].clone()).unwrap();
+    assert_eq!(status_of(&second), 200, "{second}");
+
+    // A garbled response: the head promises more body than arrives, and
+    // what arrives is corrupted.
+    let raw = serve_with_failpoints(
+        &store_path,
+        "serve::http_response=garble@1",
+        2,
+        &["/clusters/0", "/health"],
+    );
+    let torn = &raw[0];
+    let split = torn.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+    let head = String::from_utf8_lossy(&torn[..split]);
+    let promised: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .unwrap()
+        .parse()
+        .unwrap();
+    let body = &torn[split..];
+    assert!(
+        body.len() < promised,
+        "torn body: {} of {promised} bytes",
+        body.len()
+    );
+    assert_ne!(body.first(), Some(&b'{'), "first body byte is flipped");
+    let second = String::from_utf8(raw[1].clone()).unwrap();
+    assert_eq!(status_of(&second), 200, "{second}");
 }

@@ -48,7 +48,7 @@ use regcluster_obs::MetricsRegistry;
 use regcluster_store::{merge_shards, ClusterStore, Generations, Journal, JournalRecord};
 
 use crate::error::ClusterError;
-use crate::http::{HttpServer, Request, Response, MAX_INFLIGHT};
+use crate::http::{HttpConfig, HttpServer, Request, Response};
 use crate::metrics::ClusterMetrics;
 use crate::protocol::{AcquireRequest, AcquireResponse, JobInfo, RenewRequest, StatusDoc};
 
@@ -404,11 +404,11 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<CoordinatorReport, Clu
     });
 
     let handler_state = Arc::clone(&state);
-    let shed_counter = state.metrics.requests_shed.clone();
-    let server =
-        HttpServer::start_capped(cfg.port, MAX_INFLIGHT, Some(shed_counter), move |req| {
-            handle(&handler_state, req)
-        })?;
+    let http = HttpConfig {
+        shed_counter: Some(state.metrics.requests_shed.clone()),
+        ..HttpConfig::control_plane(cfg.port)
+    };
+    let server = HttpServer::start_with(http, move |req| handle(&handler_state, req))?;
     eprintln!(
         "coordinator: serving {} leases on 127.0.0.1:{} (generation {generation})",
         ranges.len(),
@@ -513,16 +513,16 @@ fn handle(state: &CoordState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/job") => Response::json(200, state.job_json.clone()),
         ("GET", "/status") => status(state),
-        ("GET", "/metrics") => Response {
-            status: 200,
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: state.registry.encode_prometheus().into_bytes(),
-            retry_after: None,
-        },
+        ("GET", "/metrics") => Response::prometheus(state.registry.encode_prometheus()),
         ("POST", "/lease/acquire") => acquire(state, &req.body),
         ("POST", "/lease/renew") => renew(state, &req.body),
         ("POST", "/shutdown") => request_shutdown(state),
-        ("POST", path) if path.starts_with("/shard/") => upload(state, path, &req.body),
+        // The upload acknowledgment has a failpoint of its own, so a
+        // scenario can garble exactly that answer.
+        ("POST", path) if path.starts_with("/shard/") => Response {
+            fault_site: Some("cluster::upload_response"),
+            ..upload(state, path, &req.body)
+        },
         _ => Response::text(404, "not found"),
     }
 }

@@ -25,7 +25,8 @@ pub const JOURNAL_TRUNCATED_BYTES_METRIC: &str = "regcluster_cluster_journal_tru
 /// Live leases restored from the journal on restart (their workers keep
 /// mining; renews are honored, not fenced).
 pub const LEASES_RECOVERED_METRIC: &str = "regcluster_cluster_leases_recovered_total";
-/// Connections shed with 503 + `Retry-After` at the in-flight cap.
+/// Connections shed with 503 + `Retry-After` because the server's pool
+/// and queue were full.
 pub const REQUESTS_SHED_METRIC: &str = "regcluster_cluster_requests_shed_total";
 
 /// Shard-upload attempts that failed to connect (coordinator down or
@@ -118,7 +119,7 @@ impl ClusterMetrics {
             ),
             requests_shed: registry.counter(
                 REQUESTS_SHED_METRIC,
-                "Connections shed with 503 at the in-flight cap",
+                "Connections shed with 503 because the accept queue was full",
                 &[],
             ),
         }

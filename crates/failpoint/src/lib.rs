@@ -26,7 +26,7 @@
 //! # Network fault actions
 //!
 //! The `drop`, `garble` and `delay@ms` actions model *network* failure at
-//! sites evaluated through [`net`] (the cluster HTTP layer on both ends):
+//! sites evaluated through [`net`] (the shared HTTP layer on both ends):
 //! `delay` simulates a slow link, `drop` an accept-then-close peer or a
 //! partition, and `garble` a torn response (truncated + corrupted bytes).
 //! At an [`io`] site, `delay` sleeps then succeeds while `drop`/`garble`
@@ -87,6 +87,7 @@ pub const SITES: &[&str] = &[
     "cluster::http_response",
     "cluster::upload_response",
     "cluster::lease_hold",
+    "serve::http_response",
 ];
 
 /// Metric family name under which fired-fault counters are exported.
@@ -139,7 +140,7 @@ struct Armed {
     fire_at: Option<u64>,
 }
 
-const N_SITES: usize = 18;
+const N_SITES: usize = 19;
 const _: () = assert!(SITES.len() == N_SITES, "keep N_SITES in sync with SITES");
 
 /// Fast-path gate: false (the default) means every site is a

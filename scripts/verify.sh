@@ -33,8 +33,9 @@ cargo test -q -p regcluster-cli --test binary -- failpoints_env interrupted_mine
 # Release build: the alloc suite bounds the engine path users run.
 cargo test -q --release --test alloc
 
-echo "==> serve smoke (concurrent clients, overload shedding, graceful shutdown)"
+echo "==> serve smoke (concurrent clients, overload shedding, graceful shutdown, HTTP server and parser fuzz)"
 cargo test -q -p regcluster-cli --test serve_smoke
+cargo test -q -p regcluster-cluster --lib http
 
 echo "==> cluster smoke (coordinator/worker/replica processes, SIGKILL + restart, torn uploads, journal replay, network faults, golden merges)"
 if [[ "$QUICK" == 1 ]]; then
