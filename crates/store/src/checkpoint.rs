@@ -35,15 +35,13 @@
 //! or bit-flipped file is rejected — resuming then falls back to a fresh
 //! run instead of silently mining a corrupt frontier.
 
-use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use regcluster_core::{CheckpointSink, EngineCheckpoint, MiningParams, PendingMember, PendingNode};
 
 use crate::error::StoreError;
 use crate::format::{put_u32, put_u64, ByteReader, Fnv64, HEADER_LEN, SECTION_ENTRY_LEN};
-use crate::writer::{decode_record, sync_parent_dir, tmp_path};
+use crate::writer::{decode_record, write_durably};
 
 /// File magic, first 8 bytes of every checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RCKPOINT";
@@ -85,21 +83,7 @@ impl CheckpointFile {
     fn save_inner(&self, checkpoint: &EngineCheckpoint) -> Result<(), StoreError> {
         let bytes = encode_checkpoint(checkpoint)?;
         regcluster_failpoint::io("checkpoint::save")?;
-        let tmp = tmp_path(&self.path);
-        let result = (|| -> std::io::Result<()> {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-            drop(file);
-            std::fs::rename(&tmp, &self.path)?;
-            sync_parent_dir(&self.path)
-        })();
-        if result.is_err() {
-            // If the failure happened after the rename the tmp is already
-            // gone and this is a no-op.
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result.map_err(StoreError::Io)
+        write_durably(&self.path, &bytes).map_err(StoreError::Io)
     }
 }
 

@@ -10,10 +10,10 @@
 //! 1. the store file is written as `gen-<N>.rcs` through the ordinary
 //!    [`StoreWriter`](crate::StoreWriter) tmp + fsync + rename discipline
 //!    (so the file is complete or absent, never torn);
-//! 2. `CURRENT` is replaced atomically — the new pointer is written to
-//!    `CURRENT.tmp`, fsynced, renamed over `CURRENT`, and the directory
-//!    is fsynced (failpoint site `store::current_publish` sits before the
-//!    rename, the commit point);
+//! 2. `CURRENT` is replaced atomically by
+//!    [`write_durably`](crate::write_durably): `CURRENT.tmp`, fsync,
+//!    rename over `CURRENT` (the commit point), directory fsync. Failpoint
+//!    site `store::current_publish` fires just before it;
 //! 3. stale files are swept: leftover `*.tmp` scratch, **orphaned**
 //!    generations above the pointer (a crash between steps 1 and 2 leaves
 //!    one behind — the torn-publish case of
@@ -31,12 +31,11 @@
 //! side, where a half-written next generation is indistinguishable from
 //! an orphan.
 
-use std::fs::{self, OpenOptions};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
-use crate::writer::sync_parent_dir;
+use crate::writer::write_durably;
 
 /// Name of the pointer file inside a generations directory.
 pub const CURRENT_FILE: &str = "CURRENT";
@@ -147,24 +146,11 @@ impl Generations {
                 store.display()
             )));
         }
-        let current = self.dir.join(CURRENT_FILE);
-        let tmp = self.dir.join(format!("{CURRENT_FILE}.tmp"));
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        writeln!(f, "{generation}")?;
-        f.sync_all()?;
-        drop(f);
-        // The commit point: before the rename the old pointer is intact,
-        // after it the new one is.
-        if let Err(e) = regcluster_failpoint::io("store::current_publish") {
-            let _ = fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        fs::rename(&tmp, &current)?;
-        sync_parent_dir(&current)?;
+        regcluster_failpoint::io("store::current_publish")?;
+        write_durably(
+            &self.dir.join(CURRENT_FILE),
+            format!("{generation}\n").as_bytes(),
+        )?;
         self.sweep()?;
         Ok(())
     }

@@ -20,13 +20,15 @@
 //!
 //! # Durability discipline
 //!
-//! The header is created with the same tmp + fsync + rename + dir-fsync
-//! discipline as every other store file, so a crash during creation
-//! leaves either no journal or a complete empty one. Every
-//! [`append`](Journal::append) writes one complete record then fsyncs the
-//! data before returning — a record is only *in* the journal once the
-//! caller has seen `Ok`. A crash mid-append can therefore leave at most
-//! one torn record at the tail.
+//! The header is created with [`write_durably`], like every other store
+//! file, so a crash during creation leaves either no journal or a
+//! complete empty one. Every [`append`](Journal::append) writes one
+//! complete record at the journal's valid end offset, then fsyncs the
+//! data before returning. `Ok` means the record is in the journal; `Err`
+//! means it is not: a failed append truncates the file back to the valid
+//! end, and the next append overwrites from there anyway, so a torn frame
+//! can never hide the records written after it. A crash mid-append can
+//! therefore leave at most one torn record at the tail.
 //!
 //! # Torn-tail recovery
 //!
@@ -42,12 +44,12 @@
 //! exhaustively flipping every byte and truncating at every offset.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
 use crate::format::{put_u32, put_u64, ByteReader, Fnv64};
-use crate::writer::{sync_parent_dir, tmp_path};
+use crate::writer::write_durably;
 
 /// File magic, first 8 bytes of every journal.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"RCJORNL\0";
@@ -257,16 +259,18 @@ pub struct JournalRecovery {
     pub truncated_bytes: u64,
 }
 
-/// An open, append-positioned control-plane journal.
+/// An open control-plane journal that appends at its valid end.
 #[derive(Debug)]
 pub struct Journal {
     file: File,
     path: PathBuf,
+    /// Length of the valid prefix: header plus every appended record.
+    end: u64,
 }
 
 impl Journal {
     /// Creates a fresh, empty journal at `path`, overwriting any previous
-    /// file, with the tmp + fsync + rename + dir-fsync discipline.
+    /// file, through [`write_durably`].
     ///
     /// # Errors
     ///
@@ -274,26 +278,19 @@ impl Journal {
     /// rename fails.
     pub fn create(path: impl AsRef<Path>) -> Result<Journal, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let tmp = tmp_path(&path);
         let mut header = Vec::with_capacity(JOURNAL_HEADER_LEN);
         header.extend_from_slice(&JOURNAL_MAGIC);
         put_u32(&mut header, JOURNAL_VERSION);
         put_u32(&mut header, 0);
         debug_assert_eq!(header.len(), JOURNAL_HEADER_LEN);
-        let result = (|| -> std::io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&header)?;
-            f.sync_all()?;
-            drop(f);
-            std::fs::rename(&tmp, &path)?;
-            sync_parent_dir(&path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result?;
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(Journal { file, path })
+        write_durably(&path, &header)?;
+        Journal::open_at(path, JOURNAL_HEADER_LEN as u64)
+    }
+
+    /// Opens `path` for appends at `end`, the length of its valid prefix.
+    fn open_at(path: PathBuf, end: u64) -> Result<Journal, StoreError> {
+        let file = OpenOptions::new().write(true).open(&path)?;
+        Ok(Journal { file, path, end })
     }
 
     /// Opens an existing journal, replaying every valid record and
@@ -364,24 +361,23 @@ impl Journal {
             f.set_len(pos as u64)?;
             f.sync_all()?;
         }
-        let file = OpenOptions::new().append(true).open(&path)?;
         Ok(JournalRecovery {
-            journal: Journal { file, path },
+            journal: Journal::open_at(path, pos as u64)?,
             records,
             truncated_bytes,
         })
     }
 
     /// Appends one record durably: the frame is written in a single
-    /// `write_all` and fsynced before returning, so `Ok` means the record
-    /// survives a crash. The `cluster::journal_append` failpoint fires
-    /// before any bytes are written.
+    /// `write_all` at the valid end and fsynced before returning, so `Ok`
+    /// means the record survives a crash. The `cluster::journal_append`
+    /// failpoint fires before any bytes are written.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the write or fsync fails; the record may
-    /// then be torn on disk, which the next [`recover`](Journal::recover)
-    /// truncates away.
+    /// [`StoreError::Io`] when the write or fsync fails. The file is then
+    /// truncated back to the valid end (best effort; the next append
+    /// overwrites from there regardless), so an `Err` leaves no record.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<(), StoreError> {
         regcluster_failpoint::io("cluster::journal_append")?;
         let payload = encode_record(rec);
@@ -389,8 +385,19 @@ impl Journal {
         put_u32(&mut frame, payload.len() as u32);
         put_u64(&mut frame, Fnv64::hash(&payload));
         frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
+        let written = (|| {
+            self.file.seek(SeekFrom::Start(self.end))?;
+            self.file.write_all(&frame)?;
+            self.file.sync_data()
+        })();
+        if let Err(e) = written {
+            let _ = self
+                .file
+                .set_len(self.end)
+                .and_then(|()| self.file.sync_all());
+            return Err(e.into());
+        }
+        self.end += frame.len() as u64;
         Ok(())
     }
 
@@ -475,6 +482,24 @@ mod tests {
         drop(j);
         let rec = Journal::recover(&path).unwrap();
         assert_eq!(rec.records, sample_records()[..4]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_torn_frame_from_a_failed_append_does_not_hide_later_records() {
+        let path = tmp("torn-mid.rcj");
+        let _ = std::fs::remove_file(&path);
+        let recs = sample_records();
+        let mut j = Journal::create(&path).unwrap();
+        j.append(&recs[0]).unwrap();
+        j.append(&recs[1]).unwrap();
+        // A write that failed partway: half a frame lands after record A.
+        j.file.write_all(&[9, 0, 0, 0, 1, 2, 3]).unwrap();
+        j.append(&recs[2]).unwrap();
+        drop(j);
+        let rec = Journal::recover(&path).unwrap();
+        assert_eq!(rec.records, recs[..3]);
+        assert_eq!(rec.truncated_bytes, 0);
         std::fs::remove_file(&path).unwrap();
     }
 

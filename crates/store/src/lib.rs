@@ -82,4 +82,4 @@ pub use journal::{
 pub use merge::merge_shards;
 pub use query::Query;
 pub use reader::{ClusterStore, PostingsIter, StoreStats};
-pub use writer::{StoreProvenance, StoreSummary, StoreWriter};
+pub use writer::{write_durably, StoreProvenance, StoreSummary, StoreWriter};

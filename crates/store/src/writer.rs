@@ -120,6 +120,32 @@ pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     }
 }
 
+/// Replaces `path` with `bytes` crash-atomically: the bytes go to
+/// `<path>.tmp`, which is fsynced, renamed over `path`, and the parent
+/// directory fsynced. A crash at any point leaves `path` holding either
+/// its previous contents or `bytes`, never a torn file. On error the
+/// scratch file is removed.
+///
+/// # Errors
+///
+/// The first I/O failure of the sequence.
+pub fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = tmp_path(path);
+    let result = (|| {
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)
+    })();
+    if result.is_err() {
+        // After the rename the scratch is already gone and this is a no-op.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
 impl StoreWriter {
     /// Prepares to write the store that will land at `path`, streaming
     /// into `<path>.tmp` until [`finish`](StoreWriter::finish) renames it

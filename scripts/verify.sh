@@ -28,6 +28,7 @@ cargo test -q -p regcluster-store --test roundtrip --test corruption
 echo "==> chaos (failpoint-injected faults: torn writes, crash checkpoints, worker panics)"
 cargo test -q -p regcluster-store --test torn_write --test checkpoint_file
 cargo test -q -p regcluster-store --test journal
+cargo test -q -p regcluster-cluster --lib coordinator
 cargo test -q -p regcluster-core --test fault --test checkpoint
 cargo test -q -p regcluster-cli --test binary -- failpoints_env interrupted_mine
 # Release build: the alloc suite bounds the engine path users run.
