@@ -1,22 +1,24 @@
 //! Command execution.
 
 use std::fmt;
+use std::path::Path;
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
+use regcluster_cluster::pipeline::{Checkpointing, Delta, Enumerate, Pipeline, Run, StoreTarget};
+use regcluster_cluster::ClusterError;
 use regcluster_core::{
-    classify_roots, finalize_clusters, matrix_fingerprint, root_fingerprints, BiclusterEngine,
-    CheckpointPlan, CheckpointReport, ClusterSink, EngineReport, MetricsObserver, MineControl,
-    MineRequest, Miner, MiningParams, MiningStats, RegCluster, SyncMineObserver, VecSink,
+    finalize_clusters, MetricsObserver, MineControl, MiningParams, MiningStats, RegCluster,
+    SyncMineObserver,
 };
 use regcluster_datagen::{generate, PlantedCluster};
 use regcluster_engines::{build_engine, EngineMetrics, EngineSpec};
 use regcluster_eval::{overlap, recovery, relevance, report, ClusterShape};
-use regcluster_matrix::{io, missing, CondId, ExpressionMatrix};
-use regcluster_obs::{MetricsRegistry, MonotonicClock, PhaseSpans};
-use regcluster_store::{
-    read_checkpoint, CheckpointFile, ClusterStore, Generations, StoreProvenance, StoreWriter,
-};
+use regcluster_matrix::io;
+use regcluster_matrix::missing::Imputation;
+use regcluster_obs::MetricsRegistry;
+use regcluster_store::{read_checkpoint, ClusterStore, Generations};
 
 use crate::args::{Command, USAGE};
 use crate::serve;
@@ -90,9 +92,19 @@ impl From<regcluster_store::StoreError> for CliError {
         CliError::Store(e)
     }
 }
-impl From<regcluster_cluster::ClusterError> for CliError {
-    fn from(e: regcluster_cluster::ClusterError) -> Self {
-        CliError::Cluster(e)
+/// Errors from the mine pipeline's steps keep the variant, and so the
+/// message, of the failure they wrap; coordinator and worker failures are
+/// wrapped whole with `CliError::Cluster`.
+impl From<ClusterError> for CliError {
+    fn from(e: ClusterError) -> Self {
+        match e {
+            ClusterError::Io(e) => CliError::Io(e),
+            ClusterError::Matrix(e) => CliError::Matrix(e),
+            ClusterError::Core(e) => CliError::Core(e),
+            ClusterError::Store(e) => CliError::Store(e),
+            ClusterError::Input(msg) => CliError::Format(msg),
+            e @ ClusterError::Protocol(_) => CliError::Cluster(e),
+        }
     }
 }
 
@@ -231,283 +243,11 @@ fn read_mine_output(path: &str) -> Result<MineOutput, CliError> {
     }
 }
 
-/// Fans each mined cluster out to the on-disk store writer *and* an
-/// in-memory collection (for the table/JSON output), so `mine --store`
-/// still prints results. A store write failure makes `accept` return
-/// `false`, stopping the engine cooperatively; the underlying error is
-/// surfaced by [`StoreWriter::finish`].
-struct TeeSink<'a> {
-    store: &'a StoreWriter,
-    collected: &'a VecSink,
-}
-
-impl ClusterSink for TeeSink<'_> {
-    fn accept(&self, cluster: RegCluster) -> bool {
-        let stored = self.store.accept(cluster.clone());
-        self.collected.accept(cluster) && stored
-    }
-}
-
-fn load_matrix(path: &str, impute_mode: &str) -> Result<ExpressionMatrix, CliError> {
-    match impute_mode {
-        "none" => Ok(io::read_matrix_file(path)?),
-        mode => {
-            let ragged = io::read_ragged_file(path)?;
-            let strategy = match mode {
-                "row-mean" => missing::Imputation::RowMean,
-                "col-mean" => missing::Imputation::ColumnMean,
-                other => unreachable!("parser rejects impute mode {other}"),
-            };
-            Ok(missing::impute(&ragged, strategy)?)
-        }
-    }
-}
-
-/// Where a `--store` argument points: a plain `.rcs` file, or
-/// a generations directory (`mine --store <dir>`) whose next generation
-/// the run writes and then publishes atomically.
-enum StoreTarget {
-    /// An ordinary single-file store.
-    File(std::path::PathBuf),
-    /// `gen-<N>.rcs` inside a generations directory, published (the
-    /// `CURRENT` pointer swung and stale files swept) after the writer
-    /// seals it.
-    Generation { gens: Generations, generation: u64 },
-}
-
-impl StoreTarget {
-    /// `spec` is a generations directory iff it names an *existing*
-    /// directory — a typo'd file path must not silently become a lineage.
-    fn resolve(spec: &str) -> Result<Self, CliError> {
-        let path = std::path::Path::new(spec);
-        if path.is_dir() {
-            let gens = Generations::open(path)?;
-            let generation = gens.next()?;
-            Ok(StoreTarget::Generation { gens, generation })
-        } else {
-            Ok(StoreTarget::File(path.to_path_buf()))
-        }
-    }
-
-    /// The file the [`StoreWriter`] should create.
-    fn write_path(&self) -> std::path::PathBuf {
-        match self {
-            StoreTarget::File(p) => p.clone(),
-            StoreTarget::Generation { gens, generation } => gens.path_for(*generation),
-        }
-    }
-
-    /// The generation number to stamp into the store's provenance.
-    /// Single-file stores default to one past the run they replace
-    /// (`previous`, 0 when there is none); directory targets use their
-    /// slot in the lineage.
-    fn generation(&self, previous: Option<u64>) -> u64 {
-        match self {
-            StoreTarget::File(_) => previous.map_or(0, |g| g + 1),
-            StoreTarget::Generation { generation, .. } => *generation,
-        }
-    }
-
-    /// Publishes a sealed generation (no-op for file targets); returns
-    /// the note to append to the run's output.
-    fn publish(&self) -> Result<Option<String>, CliError> {
-        match self {
-            StoreTarget::File(_) => Ok(None),
-            StoreTarget::Generation { gens, generation } => {
-                gens.publish(*generation)?;
-                Ok(Some(format!(
-                    "generation {generation} published in {}\n",
-                    gens.dir().display()
-                )))
-            }
-        }
-    }
-}
-
-/// Opens the store a `--delta-from` argument names — a sealed `.rcs` file
-/// or a generations directory, whose published generation is used — and
-/// refuses it unless it mined the same problem: same engine, same
-/// parameters, same matrix shape, and no post-filters. Returns the store
-/// and its resolved path for messages.
-fn open_delta_base(
-    spec: &str,
-    m: &ExpressionMatrix,
-    params: &MiningParams,
-) -> Result<(ClusterStore, String), CliError> {
-    let path = std::path::Path::new(spec);
-    let resolved = if path.is_dir() {
-        match Generations::open(path)?.current_path()? {
-            Some(p) => p,
-            None => {
-                return Err(CliError::Format(format!(
-                    "{spec}: generations directory has no published generation \
-                     to delta-mine against"
-                )))
-            }
-        }
-    } else {
-        path.to_path_buf()
-    };
-    let prev = ClusterStore::open(&resolved)?;
-    let prev_path = resolved.display().to_string();
-    if let Some(engine) = prev.engine() {
-        if engine != "reg-cluster" {
-            return Err(CliError::Format(format!(
-                "{prev_path}: store was mined by engine {engine:?}; --delta-from \
-                 needs a reg-cluster store"
-            )));
-        }
-    }
-    if (prev.n_genes() as usize, prev.n_conds() as usize) != (m.n_genes(), m.n_conditions()) {
-        return Err(CliError::Format(format!(
-            "{prev_path}: store covers {} genes × {} conditions but the matrix \
-             has {} × {}; delta mining needs identical dimensions",
-            prev.n_genes(),
-            prev.n_conds(),
-            m.n_genes(),
-            m.n_conditions()
-        )));
-    }
-    // The post-filters (--maximal-only / --max-clusters) act across root
-    // boundaries, so they run as a post-pass over the spliced union: the
-    // previous store must hold the *unfiltered* enumeration, and the
-    // remaining parameters must match it exactly.
-    if prev.params().maximal_only || prev.params().max_clusters.is_some() {
-        return Err(CliError::Format(format!(
-            "{prev_path}: store is post-filtered (--maximal-only/--max-clusters); \
-             delta mining splices per root and needs the unfiltered store — \
-             re-run the full mine without post-filters to create one"
-        )));
-    }
-    let mut base_params = params.clone();
-    base_params.maximal_only = false;
-    base_params.max_clusters = None;
-    if prev.params() != &base_params {
-        return Err(CliError::Format(format!(
-            "{prev_path}: store was mined with different parameters; delta \
-             mining requires the identical parameter set (store: {:?}, \
-             requested: {:?})",
-            prev.params(),
-            base_params
-        )));
-    }
-    Ok((prev, prev_path))
-}
-
-/// A delta mine's root plan (`mine --delta-from`): re-mine only the
-/// subtrees whose input rows changed since `base` was mined and splice
-/// every other subtree's clusters out of `base` verbatim. The result is
-/// bit-identical to a full re-mine (see `crates/core/src/delta.rs` for the
-/// soundness argument and `crates/core/tests/delta_golden.rs` for the
-/// golden proof); on the streaming store path the spliced records are
-/// copied as raw bytes, never deserialized.
-struct Delta {
-    base: ClusterStore,
-    base_path: String,
-    /// Roots to re-enumerate.
-    dirty: Vec<CondId>,
-    /// Number of roots whose clusters carry over.
-    n_unchanged: usize,
-    /// Ids in `base` of every cluster rooted in an unchanged subtree.
-    spliced: Vec<u32>,
-}
-
-impl Delta {
-    /// Diffs `base`'s root fingerprints against the new matrix's.
-    fn plan(base: ClusterStore, base_path: String, new_fps: &[u64]) -> Result<Self, CliError> {
-        let Some(prev_fps) = base.root_fingerprints() else {
-            return Err(CliError::Format(format!(
-                "{base_path}: store carries no root fingerprints (it predates delta \
-                 mining); run a full mine with --store to create a delta-capable one"
-            )));
-        };
-        let plan = classify_roots(prev_fps, new_fps)?;
-        let unchanged = plan.unchanged_mask();
-        // `cluster_root` reads one u32 from the packed record — no decode.
-        let mut spliced = Vec::new();
-        for id in 0..base.n_clusters() {
-            if unchanged[base.cluster_root(id)? as usize] {
-                spliced.push(id);
-            }
-        }
-        Ok(Delta {
-            n_unchanged: plan.unchanged.len(),
-            dirty: plan.dirty,
-            base,
-            base_path,
-            spliced,
-        })
-    }
-}
-
-/// The enumerate step of the `mine` pipeline: the one step that differs
-/// between a full mine, a delta mine and a registry engine.
-#[allow(clippy::large_enum_variant)] // one value per run, never moved in a loop
-enum Enumerate<'m> {
-    /// The reg-cluster engine over every root, or over a delta mine's
-    /// dirty roots only.
-    RegCluster {
-        miner: Miner<'m>,
-        delta: Option<Delta>,
-    },
-    /// A registry engine's own `run`.
-    Engine(Box<dyn BiclusterEngine>),
-}
-
-impl Enumerate<'_> {
-    fn delta(&self) -> Option<&Delta> {
-        match self {
-            Enumerate::RegCluster { delta, .. } => delta.as_ref(),
-            Enumerate::Engine(_) => None,
-        }
-    }
-
-    /// Creates the writer for `target`. Reg-cluster stores carry delta
-    /// provenance — matrix and root fingerprints, generation — so a later
-    /// `mine --delta-from` can diff against them; engine stores name the
-    /// engine and its native parameters.
-    fn create_writer(
-        &self,
-        target: &StoreTarget,
-        m: &ExpressionMatrix,
-        params: &MiningParams,
-        fingerprints: Option<(u64, Vec<u64>)>,
-    ) -> Result<StoreWriter, CliError> {
-        let (path, genes, conds) = (target.write_path(), m.gene_names(), m.condition_names());
-        if let Enumerate::Engine(engine) = self {
-            let engine_params = engine.params_json();
-            return Ok(StoreWriter::create_with_engine(
-                path,
-                genes,
-                conds,
-                params,
-                engine.name(),
-                &engine_params,
-            )?);
-        }
-        let (matrix_fingerprint, root_fingerprints) = fingerprints.unzip();
-        let provenance = StoreProvenance {
-            engine: Some("reg-cluster".to_string()),
-            engine_params: Some(serde_json::to_string(params)?),
-            generation: target.generation(self.delta().map(|d| d.base.generation())),
-            matrix_fingerprint,
-            root_fingerprints,
-        };
-        Ok(StoreWriter::create_with_provenance(
-            path,
-            genes,
-            conds,
-            params,
-            &provenance,
-        )?)
-    }
-}
-
-/// `mine`, every engine and mode: load → index_build → enumerate →
-/// postprocess → store_write, each step a phase span (see
-/// `docs/OBSERVABILITY.md`). Only the enumerate step varies
-/// ([`Enumerate`]); the sink policy is chosen once, and only a complete
-/// run seals a store.
+/// `mine`, every engine and mode, on the one mine pipeline
+/// ([`regcluster_cluster::pipeline`]): load → index_build → enumeration →
+/// postprocess → store_write → report, each a phase span (see
+/// `docs/OBSERVABILITY.md`). Only the enumeration source varies
+/// ([`Enumerate`]), and only a complete run seals a store.
 fn mine(command: &Command) -> Result<String, CliError> {
     let Command::Mine {
         input,
@@ -534,269 +274,214 @@ fn mine(command: &Command) -> Result<String, CliError> {
     // One registry per run: phase spans, the mining observer and the engine
     // counters feed it, and --metrics/--metrics-json snapshot it at the end.
     let registry = MetricsRegistry::new();
-    let clock = MonotonicClock::new();
-    let spans = PhaseSpans::new(&registry);
+    let pipeline = Pipeline::new(&registry);
     let observer = MineRunObserver {
         metrics: MetricsObserver::register(&registry),
         progress: progress.then(ProgressObserver::default),
     };
     let engine_metrics = EngineMetrics::register(&registry, engine);
     let control = match deadline_secs {
-        Some(s) => MineControl::with_deadline(std::time::Duration::from_secs_f64(*s)),
+        Some(s) => MineControl::with_deadline(Duration::from_secs_f64(*s)),
         None => MineControl::new(),
     };
+    let impute = match impute.as_str() {
+        "row-mean" => Some(Imputation::RowMean),
+        "col-mean" => Some(Imputation::ColumnMean),
+        _ => None, // "none"; the parser rejects every other mode
+    };
 
-    let m = spans.time(&clock, "load", || load_matrix(input, impute))?;
-    let base = (delta_from.as_deref())
-        .map(|spec| open_delta_base(spec, &m, params))
-        .transpose()?;
+    let m = pipeline.load(Path::new(input), impute)?;
     let start = std::time::Instant::now();
-    let (source, fingerprints) = if engine == "reg-cluster" {
-        // Fingerprints stamp a store's delta provenance and drive a delta
-        // mine's root diff; they are part of the index build.
-        let needs_fingerprints = store.is_some() || base.is_some();
-        let (miner, fingerprints) = spans.time(&clock, "index_build", || {
-            let miner = Miner::new(&m, params)?;
-            let fingerprints =
-                needs_fingerprints.then(|| (matrix_fingerprint(&m), root_fingerprints(&miner)));
-            Ok::<_, CliError>((miner, fingerprints))
-        })?;
-        let delta = match (base, &fingerprints) {
-            (Some((prev, prev_path)), Some((_, roots))) => {
-                Some(Delta::plan(prev, prev_path, roots)?)
-            }
-            _ => None,
-        };
-        (Enumerate::RegCluster { miner, delta }, fingerprints)
-    } else {
-        let spec = EngineSpec {
-            min_genes: params.min_genes,
-            min_conds: params.min_conds,
-            delta: *delta,
-            threads: *threads,
-            max_clusters: params.max_clusters,
-            maximal_only: params.maximal_only,
-            ..EngineSpec::default()
-        };
-        (Enumerate::Engine(build_engine(engine, &spec)?), None)
+    // Fingerprints stamp a store's delta provenance and drive a delta
+    // mine's root diff.
+    let index = (engine == "reg-cluster")
+        .then(|| pipeline.index_build(&m, params, store.is_some() || delta_from.is_some()))
+        .transpose()?;
+    let delta_plan = match (delta_from, &index) {
+        (Some(spec), Some((_, Some((_, fps))))) => Some(Delta::open(spec, &m, params, fps)?),
+        _ => None,
+    };
+    let source = match &index {
+        Some((miner, _)) => Enumerate::RegCluster {
+            miner,
+            roots: delta_plan.as_ref().map(|d| &d.dirty[..]),
+        },
+        None => {
+            let spec = EngineSpec {
+                min_genes: params.min_genes,
+                min_conds: params.min_conds,
+                delta: *delta,
+                threads: *threads,
+                max_clusters: params.max_clusters,
+                maximal_only: params.maximal_only,
+                ..EngineSpec::default()
+            };
+            Enumerate::Engine(build_engine(engine, &spec)?, &m)
+        }
     };
 
     // A directory-valued --store writes the lineage's next generation and
     // publishes it after sealing.
     let store = match store {
         Some(spec) => {
-            let target = StoreTarget::resolve(spec)?;
-            let writer = source.create_writer(&target, &m, params, fingerprints)?;
-            Some((target, writer))
+            let target =
+                StoreTarget::resolve(spec, delta_plan.as_ref().map(|d| d.base.generation()))?;
+            let fingerprints = index.as_ref().and_then(|(_, f)| f.as_ref());
+            Some(source.open_store(target, &m, params, fingerprints)?)
         }
         None => None,
     };
-    // The sink policy. Without a store, or when --maximal-only /
-    // --max-clusters need the whole result before anything is written,
-    // collect; otherwise stream every cluster into the store as it is
-    // found, composing with deadlines and cancellation.
-    let post_filtered = params.maximal_only || params.max_clusters.is_some();
-    let collected = VecSink::new();
-    let tee;
-    let sink: &dyn ClusterSink = match &store {
-        Some((_, writer)) if !post_filtered => {
-            tee = TeeSink {
-                store: writer,
-                collected: &collected,
-            };
-            &tee
-        }
-        _ => &collected,
-    };
-
     // Crash-safe runs: --checkpoint (or --resume, whose path then doubles
     // as the snapshot sink) persist the enumeration frontier to a .rck
     // file on any stop; --resume seeds the run from one. See
     // docs/ROBUSTNESS.md.
     let ck_path = checkpoint.as_deref().or(resume.as_deref());
-    let ck_file = ck_path.map(CheckpointFile::new);
     let resume_ck = resume.as_deref().map(read_checkpoint).transpose()?;
-    let (report, ck_report) = {
-        let _span = spans.span(&clock, "enumeration");
-        match &source {
-            Enumerate::RegCluster { miner, delta } => {
-                let mut request = MineRequest::new(miner)
-                    .threads(*threads)
-                    .control(&control)
-                    .observer(&observer);
-                if let Some(delta) = delta {
-                    request = request.roots(&delta.dirty);
-                }
-                if let Some(file) = &ck_file {
-                    let mut plan = CheckpointPlan::new(file);
-                    if let Some(secs) = checkpoint_every_secs {
-                        plan = plan.with_every(std::time::Duration::from_secs_f64(*secs));
-                    }
-                    if let Some(ck) = resume_ck {
-                        plan = plan.with_resume(ck);
-                    }
-                    request = request.checkpoint(plan);
-                }
-                let (stream, ck_report) = request.run(sink)?;
-                let report = EngineReport {
-                    n_emitted: stream.stats.emitted,
-                    truncated: stream.truncated,
-                    stopped_by_sink: stream.stopped_by_sink,
-                    stats: Some(stream.stats),
-                };
-                (report, ck_report)
-            }
-            Enumerate::Engine(engine) => (
-                engine.run(&m, sink, &control, &observer)?,
-                CheckpointReport::default(),
-            ),
-        }
+    let run = Run {
+        threads: *threads,
+        control: &control,
+        observer: &observer,
+        checkpoint: ck_path.map(|path| Checkpointing {
+            path: path.into(),
+            every: checkpoint_every_secs.map(Duration::from_secs_f64),
+            resume: resume_ck,
+        }),
     };
+    // The run holds the whole result for its report anyway, so the store
+    // is written from the finalized clusters, after postprocess.
+    let (report, ck_report, mut clusters) = pipeline.enumerate(&source, None, run)?;
     engine_metrics.record(&report);
-
-    let mut clusters = collected.into_clusters();
-    if let Some(delta) = source.delta() {
-        for &id in &delta.spliced {
-            clusters.push(delta.base.cluster(id)?);
+    pipeline.time("postprocess", || {
+        // A delta mine's unchanged subtrees carry over from its base.
+        if let Some(delta) = &delta_plan {
+            for &id in &delta.spliced {
+                clusters.push(delta.base.cluster(id)?);
+            }
         }
-    }
-    spans.time(&clock, "postprocess", || {
-        finalize_clusters(&mut clusters, params)
-    });
+        finalize_clusters(&mut clusters, params);
+        Ok::<_, CliError>(())
+    })?;
 
-    // Only a complete run seals a store: a partial one would carry root
-    // fingerprints, and a later delta mine would trust it as complete. A
-    // run stopped by a deadline or cancellation leaves the writer's
-    // scratch file unsealed (the next publish sweeps it); a sink stop —
-    // a store write error — still goes through finish(), which surfaces
-    // the error.
-    let interrupted = report.truncated && !report.stopped_by_sink && control.is_cancelled();
-    let store_note = match store {
-        None => None,
-        Some(_) if interrupted => {
-            Some("no store written: the run was interrupted before completion\n".to_string())
-        }
-        Some((target, writer)) => {
-            let summary = spans.time(&clock, "store_write", || {
-                if post_filtered {
-                    clusters.iter().try_for_each(|c| writer.write_cluster(c))?;
-                } else if let Some(delta) = source.delta() {
-                    // Raw packed records, straight from the old file to the
-                    // new one; sealing canonicalizes ids, so order is moot.
-                    for &id in &delta.spliced {
-                        writer.write_raw_record(delta.base.record_bytes(id)?)?;
-                    }
-                }
-                writer.finish()
-            })?;
-            let mut note = format!(
-                "store written to {} ({} clusters, {} bytes)\n",
-                target.write_path().display(),
+    let sealed = (store.map(|store| pipeline.store_write(store, &report, &clusters, &control)))
+        .transpose()?;
+    let store_note = match sealed {
+        None => String::new(),
+        Some(None) => "no store written: the run was interrupted before completion\n".to_string(),
+        Some(Some((target, summary))) => {
+            let published = target.lineage.as_ref().map_or(String::new(), |lineage| {
+                let dir = lineage.dir().display();
+                format!("generation {} published in {dir}\n", target.generation)
+            });
+            format!(
+                "store written to {} ({} clusters, {} bytes)\n{published}",
+                target.path.display(),
                 summary.n_clusters,
                 summary.file_bytes
-            );
-            if let Some(published) = target.publish()? {
-                note.push_str(&published);
-            }
-            Some(note)
+            )
         }
     };
     let elapsed = start.elapsed();
 
-    let plural = if *threads == 1 { "" } else { "s" };
-    let (n_genes, n_conds) = (m.n_genes(), m.n_conditions());
-    let secs = elapsed.as_secs_f64();
-    let mut text = match (&source, source.delta()) {
-        (Enumerate::Engine(_), _) => format!(
-            "{engine}: {} biclusters in {secs:.3}s from {n_genes} genes × {n_conds} conditions\n",
-            clusters.len()
-        ),
-        (_, None) => format!(
-            "mined {} reg-clusters from {n_genes} genes × {n_conds} conditions in {secs:.3}s \
-             on {threads} thread{plural}\n",
-            clusters.len()
-        ),
-        (_, Some(delta)) => format!(
-            "delta-mined {} reg-clusters from {n_genes} genes × {n_conds} conditions in \
-             {secs:.3}s on {threads} thread{plural}\n{} of {n_conds} roots dirty: re-enumerated \
-             them, spliced {} clusters from {} unchanged subtrees of {}\n",
-            clusters.len(),
-            delta.dirty.len(),
-            delta.spliced.len(),
-            delta.n_unchanged,
-            delta.base_path
-        ),
-    };
-    let is_engine = matches!(source, Enumerate::Engine(_));
-    if report.truncated {
-        text.push_str(if is_engine {
-            "run interrupted (deadline, cancellation or budget): results are partial\n"
-        } else {
-            "deadline expired: results are partial\n"
-        });
-    }
-    let resumed_from = ck_report
-        .resumed
-        .then(|| resume.clone().unwrap_or_default());
-    let checkpoint_written =
-        (ck_report.checkpoints_written > 0).then(|| ck_path.unwrap_or_default().to_string());
-    if let Some(path) = &resumed_from {
-        text.push_str(&format!("resumed from checkpoint {path}\n"));
-    }
-    if let Some(path) = &checkpoint_written {
-        let snapshots = ck_report.checkpoints_written;
-        let plural = if snapshots == 1 { "" } else { "s" };
-        text.push_str(&format!(
-            "checkpoint written to {path} ({snapshots} snapshot{plural})\n"
-        ));
-    }
-    if *stats {
-        match &report.stats {
-            Some(s) => {
-                text.push_str(&s.summary());
-                text.push('\n');
-            }
-            None => text.push_str(&format!("{engine} reports no search-effort statistics\n")),
+    // The report: summary lines, then the table or the --output document.
+    // The store and metrics notes go between them, after the span closes,
+    // so the snapshots include it.
+    let is_engine = matches!(source, Enumerate::Engine(..));
+    let (mut text, tail) = pipeline.time("report", || {
+        let plural = if *threads == 1 { "" } else { "s" };
+        let (n_genes, n_conds) = (m.n_genes(), m.n_conditions());
+        let secs = elapsed.as_secs_f64();
+        let mut text = match (is_engine, &delta_plan) {
+            (true, _) => format!(
+                "{engine}: {} biclusters in {secs:.3}s from {n_genes} genes × {n_conds} conditions\n",
+                clusters.len()
+            ),
+            (false, None) => format!(
+                "mined {} reg-clusters from {n_genes} genes × {n_conds} conditions in {secs:.3}s \
+                 on {threads} thread{plural}\n",
+                clusters.len()
+            ),
+            (false, Some(delta)) => format!(
+                "delta-mined {} reg-clusters from {n_genes} genes × {n_conds} conditions in \
+                 {secs:.3}s on {threads} thread{plural}\n{} of {n_conds} roots dirty: re-enumerated \
+                 them, spliced {} clusters from {} unchanged subtrees of {}\n",
+                clusters.len(),
+                delta.dirty.len(),
+                delta.spliced.len(),
+                delta.n_unchanged,
+                delta.base_path
+            ),
+        };
+        if report.truncated {
+            text.push_str(if is_engine {
+                "run interrupted (deadline, cancellation or budget): results are partial\n"
+            } else {
+                "deadline expired: results are partial\n"
+            });
         }
-    }
-    if !is_engine && !clusters.is_empty() {
-        text.push_str(&report::overlap_summary(&clusters));
-        text.push('\n');
-    }
-    if let Some(note) = store_note {
-        text.push_str(&note);
-    }
+        let resumed_from = ck_report
+            .resumed
+            .then(|| resume.clone().unwrap_or_default());
+        let checkpoint_written =
+            (ck_report.checkpoints_written > 0).then(|| ck_path.unwrap_or_default().to_string());
+        if let Some(path) = &resumed_from {
+            text.push_str(&format!("resumed from checkpoint {path}\n"));
+        }
+        if let Some(path) = &checkpoint_written {
+            let snapshots = ck_report.checkpoints_written;
+            let plural = if snapshots == 1 { "" } else { "s" };
+            text.push_str(&format!(
+                "checkpoint written to {path} ({snapshots} snapshot{plural})\n"
+            ));
+        }
+        if *stats {
+            match &report.stats {
+                Some(s) => {
+                    text.push_str(&s.summary());
+                    text.push('\n');
+                }
+                None => text.push_str(&format!("{engine} reports no search-effort statistics\n")),
+            }
+        }
+        if !is_engine && !clusters.is_empty() {
+            text.push_str(&report::overlap_summary(&clusters));
+            text.push('\n');
+        }
+        let tail = match output {
+            Some(path) => {
+                let doc = MineOutput {
+                    format_version: Some(MINE_OUTPUT_FORMAT_VERSION),
+                    engine: Some(engine.clone()),
+                    params: params.clone(),
+                    n_genes,
+                    n_conds,
+                    threads: Some(*threads),
+                    elapsed_secs: Some(secs),
+                    ns_per_node: ns_per_node(elapsed, report.stats.as_ref()),
+                    truncated: Some(report.truncated),
+                    stats: report.stats,
+                    resumed_from,
+                    checkpoint_written,
+                    clusters,
+                };
+                std::fs::write(path, serde_json::to_string_pretty(&doc)?)?;
+                format!("clusters written to {path}\n")
+            }
+            None if is_engine => {
+                let mut table = "id\tgenes\tconds\n".to_string();
+                for (i, c) in clusters.iter().enumerate() {
+                    table.push_str(&format!("{i}\t{}\t{}\n", c.n_genes(), c.n_conditions()));
+                }
+                table
+            }
+            None => report::cluster_table(&m, &clusters),
+        };
+        Ok::<_, CliError>((text, tail))
+    })?;
+    text.push_str(&store_note);
     for note in write_metric_snapshots(&registry, metrics.as_deref(), metrics_json.as_deref())? {
         text.push_str(&note);
     }
-    match output {
-        Some(path) => {
-            let doc = MineOutput {
-                format_version: Some(MINE_OUTPUT_FORMAT_VERSION),
-                engine: Some(engine.clone()),
-                params: params.clone(),
-                n_genes,
-                n_conds,
-                threads: Some(*threads),
-                elapsed_secs: Some(secs),
-                ns_per_node: ns_per_node(elapsed, report.stats.as_ref()),
-                truncated: Some(report.truncated),
-                stats: report.stats,
-                resumed_from,
-                checkpoint_written,
-                clusters,
-            };
-            std::fs::write(path, serde_json::to_string_pretty(&doc)?)?;
-            text.push_str(&format!("clusters written to {path}\n"));
-        }
-        None if is_engine => {
-            text.push_str("id\tgenes\tconds\n");
-            for (i, c) in clusters.iter().enumerate() {
-                text.push_str(&format!("{i}\t{}\t{}\n", c.n_genes(), c.n_conditions()));
-            }
-        }
-        None => text.push_str(&report::cluster_table(&m, &clusters)),
-    }
+    text.push_str(&tail);
     Ok(text)
 }
 
@@ -1101,7 +786,8 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                     n_leases: *leases,
                     lease_ttl: std::time::Duration::from_millis(*lease_ttl_ms),
                     linger: *linger,
-                })?;
+                })
+                .map_err(CliError::Cluster)?;
             Ok(format!(
                 "generation {} published in {store} ({} clusters merged from \
                  {} leases, {} reassignment{})\n",
@@ -1132,7 +818,8 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 threads: *threads,
                 checkpoint_every: std::time::Duration::from_secs_f64(*checkpoint_every_secs),
                 poll: std::time::Duration::from_millis(*poll_ms),
-            })?;
+            })
+            .map_err(CliError::Cluster)?;
             Ok(format!(
                 "mined {} lease{} ({} resumed from checkpoints), uploaded {} \
                  shard{}, lost {} (upload retries: {} conn-refused, {} shed)\n",
@@ -1526,8 +1213,8 @@ mod tests {
             text.contains("regcluster_mine_clusters_emitted_total 1"),
             "{text}"
         );
-        // All five pipeline phases ran (no store → store_write has 0 runs
-        // but its series still exists).
+        // Every pipeline phase has a series (no store → store_write has 0
+        // runs but its series still exists).
         for phase in regcluster_obs::span::PHASES {
             assert!(
                 text.contains(&format!(
@@ -1538,6 +1225,8 @@ mod tests {
         }
         assert!(text.contains("regcluster_phase_runs_total{phase=\"enumeration\"} 1"));
         assert!(text.contains("regcluster_phase_runs_total{phase=\"store_write\"} 0"));
+        // The snapshot is written after the report span closes.
+        assert!(text.contains("regcluster_phase_runs_total{phase=\"report\"} 1"));
 
         // The JSON twin is stamped with the snapshot schema version.
         let json_text = std::fs::read_to_string(&json).unwrap();

@@ -1,4 +1,4 @@
-//! Error type shared by the coordinator and worker runtimes.
+//! Error type shared by the coordinator, the worker and the mine pipeline.
 
 use std::fmt;
 
@@ -21,6 +21,9 @@ pub enum ClusterError {
     /// refusal that the caller cannot retry away (e.g. a params mismatch
     /// between worker and coordinator).
     Protocol(String),
+    /// Inputs that cannot be mined together as asked, such as a delta
+    /// base store of a different problem; the message says why.
+    Input(String),
 }
 
 impl fmt::Display for ClusterError {
@@ -31,6 +34,7 @@ impl fmt::Display for ClusterError {
             ClusterError::Core(e) => write!(f, "mining error: {e}"),
             ClusterError::Store(e) => write!(f, "store error: {e}"),
             ClusterError::Protocol(m) => write!(f, "protocol error: {m}"),
+            ClusterError::Input(m) => write!(f, "{m}"),
         }
     }
 }

@@ -23,10 +23,13 @@
 //!
 //! # Limits
 //!
-//! The request line plus headers may take 8 KiB (`431`), a body
-//! [`HttpConfig::max_body`] (`413`), and a client silent for
-//! [`HttpConfig::io_timeout`] is answered `408`. The server's own errors
-//! carry a JSON body `{"error":"<message>"}`.
+//! The request line plus headers may take 8 KiB (`431`) and a body
+//! [`HttpConfig::max_body`] (`413`). The whole head must arrive within
+//! one [`HttpConfig::io_timeout`] of its first read, however steadily a
+//! client trickles it, and each body read within one more; past either
+//! the client is answered `408`. The drain of a lingering connection
+//! gets the same one-timeout budget. The server's own errors carry a
+//! JSON body `{"error":"<message>"}`.
 //!
 //! # Fault injection
 //!
@@ -44,7 +47,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use regcluster_failpoint::NetFault;
 use regcluster_obs::Counter;
@@ -183,7 +186,8 @@ pub struct HttpConfig {
     /// Accepted connections waiting for the pool (≥ 1 enforced); past
     /// it the acceptor sheds.
     pub queue: usize,
-    /// Per-socket read/write timeout; a client silent this long gets 408.
+    /// Budget for a request head, from its first read, and timeout of
+    /// each body read and response write; past it the client gets 408.
     pub io_timeout: Duration,
     /// Largest request body; a larger `Content-Length` gets 413.
     pub max_body: usize,
@@ -293,13 +297,14 @@ impl HttpServer {
         }
         drop(drain);
         let drain_limit = (MAX_HEAD + config.max_body) as u64;
-        let stop_drain = Arc::clone(&stop);
+        let (stop_drain, timeout) = (Arc::clone(&stop), config.io_timeout);
         threads.push(std::thread::spawn(move || {
             for stream in draining {
                 // Once stopping, close at once rather than wait out a
                 // socket timeout per lingering client.
                 if !stop_drain.load(Ordering::SeqCst) {
-                    let _ = std::io::copy(&mut (&stream).take(drain_limit), &mut std::io::sink());
+                    let mut lingering = Budgeted::new(&stream, timeout).take(drain_limit);
+                    let _ = std::io::copy(&mut lingering, &mut std::io::sink());
                 }
             }
         }));
@@ -355,7 +360,12 @@ where
     F: Fn(&Request) -> Response,
 {
     set_timeouts(&stream, config.io_timeout)?;
-    let parsed = read_request(&mut BufReader::new(&stream), config.max_body);
+    let mut reader = BufReader::new(Budgeted::new(&stream, config.io_timeout));
+    let parsed = read_head(&mut reader).and_then(|head| {
+        // A body (a shard upload, say) may be large: bound each read only.
+        reader.get_mut().per_read().map_err(|e| read_failure(&e))?;
+        read_request(head, &mut reader, config.max_body)
+    });
     let response = match &parsed {
         Ok(request) => handler(request),
         // Nothing to answer: the wake-up connection, or a client gone.
@@ -421,6 +431,52 @@ enum Reject {
 const MALFORMED: Reject = Reject::Status(400, "malformed request");
 const TIMED_OUT: Reject = Reject::Status(408, "request timed out");
 const HEAD_TOO_LARGE: Reject = Reject::Status(431, "request head too large");
+
+/// A socket reader whose reads share one `timeout` budget, counted from
+/// the first read: a peer trickling a byte per socket timeout cannot
+/// stretch it. Past the budget a read fails as timed out.
+struct Budgeted<'a> {
+    stream: &'a TcpStream,
+    timeout: Duration,
+    /// Cleared by [`per_read`](Budgeted::per_read).
+    budgeted: bool,
+    deadline: Option<Instant>,
+}
+
+impl<'a> Budgeted<'a> {
+    fn new(stream: &'a TcpStream, timeout: Duration) -> Self {
+        Budgeted {
+            stream,
+            timeout,
+            budgeted: true,
+            deadline: None,
+        }
+    }
+
+    /// Lifts the budget: each later read gets the plain `timeout`.
+    fn per_read(&mut self) -> std::io::Result<()> {
+        self.budgeted = false;
+        self.stream.set_read_timeout(Some(self.timeout))
+    }
+}
+
+impl Read for Budgeted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.budgeted {
+            let timeout = self.timeout;
+            let deadline = *self
+                .deadline
+                .get_or_insert_with(|| Instant::now() + timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
 
 /// Maps a failed read: a read timeout (`WouldBlock` on Unix, `TimedOut`
 /// on Windows) means the peer went quiet.
@@ -491,10 +547,9 @@ fn text(bytes: &[u8]) -> Result<&str, Reject> {
     std::str::from_utf8(bytes.trim_ascii()).map_err(|_| MALFORMED)
 }
 
-/// Parses one request off `reader`, buffering at most `max_body` bytes
-/// of body.
-fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, Reject> {
-    let head = read_head(reader)?;
+/// Parses the request `head` opens, reading its body off `reader` and
+/// buffering at most `max_body` bytes of it.
+fn read_request(head: Head, reader: &mut impl BufRead, max_body: usize) -> Result<Request, Reject> {
     let mut parts = head.first_line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
         return Err(MALFORMED);
@@ -810,11 +865,51 @@ mod tests {
         server.shutdown();
     }
 
+    #[test]
+    fn a_head_trickled_past_the_timeout_gets_408() {
+        let _guard = serial();
+        let config = HttpConfig {
+            io_timeout: Duration::from_millis(300),
+            ..HttpConfig::control_plane(0)
+        };
+        let server = HttpServer::start_with(config, |_| Response::text(200, "ok")).unwrap();
+        let mut stream = TcpStream::connect(("127.0.0.1", server.port())).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        // One head byte every 200 ms: every socket read beats the 300 ms
+        // timeout, but the head never ends.
+        let mut writer = stream.try_clone().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let head = b"GET / HTTP/1.1\r\nX-Slow: ".iter();
+                for &byte in head.chain(std::iter::repeat(&b'a')) {
+                    if stop.load(Ordering::SeqCst) || writer.write_all(&[byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+            })
+        };
+        let started = Instant::now();
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        let took = started.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        trickle.join().unwrap();
+        let raw = String::from_utf8_lossy(&raw);
+        assert!(raw.starts_with("HTTP/1.1 408 "), "{raw:?} after {took:?}");
+        assert!(took < Duration::from_secs(2), "408 took {took:?}");
+        server.shutdown();
+    }
+
     /// Body cap of the parser tests.
     const TEST_MAX_BODY: usize = 64;
 
-    fn parse(bytes: &[u8]) -> Result<Request, Reject> {
-        read_request(&mut &bytes[..], TEST_MAX_BODY)
+    fn parse(mut bytes: &[u8]) -> Result<Request, Reject> {
+        read_head(&mut bytes).and_then(|head| read_request(head, &mut bytes, TEST_MAX_BODY))
     }
 
     fn status(bytes: &[u8]) -> Option<u16> {

@@ -13,10 +13,10 @@
 //!   ([`regcluster_store::merge_shards`]) and publishes the result as
 //!   the next [`Generations`](regcluster_store::Generations) lineage
 //!   entry, which replica `serve --watch` processes hot-swap onto;
-//! * a **worker** ([`run_worker`]) mines leased ranges through the
-//!   checkpointed roots-subset engine entry point, heartbeats to keep
-//!   its lease, survives its own crashes by resuming from per-lease
-//!   checkpoints, and uploads sealed shards.
+//! * a **worker** ([`run_worker`]) mines leased ranges through the same
+//!   [`pipeline`] as `regcluster mine`, heartbeats to keep its lease,
+//!   survives its own crashes by resuming from per-lease checkpoints,
+//!   and uploads sealed shards.
 //!
 //! Failure handling is lease-based: a silent or crashed worker's lease
 //! expires and the range is granted to the next worker, which resumes
@@ -30,6 +30,7 @@ pub mod coordinator;
 pub mod error;
 pub mod http;
 pub mod metrics;
+pub mod pipeline;
 pub mod protocol;
 pub mod worker;
 

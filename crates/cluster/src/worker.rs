@@ -28,22 +28,16 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use regcluster_core::{
-    matrix_fingerprint, range_roots, root_fingerprints, CheckpointPlan, MineControl, MineRequest,
-    Miner, MiningParams,
-};
-use regcluster_matrix::io::read_matrix_file;
-use regcluster_matrix::ExpressionMatrix;
+use regcluster_core::{range_roots, MineControl, Miner, MiningParams, NoopObserver};
 use regcluster_obs::MetricsRegistry;
-use regcluster_store::{
-    read_checkpoint, CheckpointFile, ClusterStore, StoreProvenance, StoreWriter,
-};
+use regcluster_store::{read_checkpoint, ClusterStore};
 
 use crate::backoff::Backoff;
 use crate::coordinator::CLUSTER_ENGINE;
 use crate::error::ClusterError;
 use crate::http::http_request;
 use crate::metrics::WorkerMetrics;
+use crate::pipeline::{Checkpointing, Enumerate, Fingerprints, Pipeline, Run, StoreTarget};
 use crate::protocol::{AcquireRequest, AcquireResponse, JobInfo, RenewRequest};
 
 /// Longest single backoff delay in any worker retry loop.
@@ -103,16 +97,17 @@ enum LeaseOutcome {
 /// until the coordinator comes (back) up.
 pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, ClusterError> {
     std::fs::create_dir_all(&cfg.work_dir)?;
-    let job = fetch_job(cfg);
-    let matrix = read_matrix_file(&cfg.matrix_path)?;
-    let local_fp = matrix_fingerprint(&matrix);
-    if local_fp != job.matrix_fingerprint {
-        return Err(ClusterError::Protocol(format!(
-            "matrix fingerprint {local_fp:#x} disagrees with coordinator's {:#x}; \
-             the worker is mining a different input",
-            job.matrix_fingerprint
-        )));
-    }
+    // Every request retries forever (the coordinator may be restarting),
+    // so no budget — but the delay still grows and jitters so a fleet of
+    // waiting workers doesn't stampede a coordinator that comes back.
+    let mut backoff = Backoff::new(cfg.poll, BACKOFF_CAP);
+    let job: JobInfo = request_until_ok(cfg, &mut backoff, "GET", "/job", &[]);
+    let registry = MetricsRegistry::new();
+    let metrics = WorkerMetrics::register(&registry);
+    // Load and index once; every lease then runs enumeration and
+    // store_write over the same miner.
+    let pipeline = Pipeline::new(&registry);
+    let matrix = pipeline.load(&cfg.matrix_path, None)?;
     if job.engine != CLUSTER_ENGINE {
         return Err(ClusterError::Protocol(format!(
             "coordinator runs engine {:?}; this worker only mines {CLUSTER_ENGINE}",
@@ -121,74 +116,46 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, ClusterError> {
     }
     let params: MiningParams = serde_json::from_str(&job.params_json)?;
     params.validate()?;
-    let miner = Miner::new(&matrix, &params)?;
-    // Every shard this worker seals carries the same provenance: it
-    // depends only on the job, the matrix and the params.
-    let provenance = StoreProvenance {
-        engine: Some(CLUSTER_ENGINE.to_string()),
-        engine_params: Some(serde_json::to_string(&params)?),
-        generation: job.generation,
-        matrix_fingerprint: Some(job.matrix_fingerprint),
-        root_fingerprints: Some(root_fingerprints(&miner)),
-    };
-
-    let registry = MetricsRegistry::new();
-    let metrics = WorkerMetrics::register(&registry);
-
+    let (miner, fingerprints) = pipeline.index_build(&matrix, &params, true)?;
+    let local_fp = fingerprints.as_ref().map_or(0, |f| f.0);
+    if local_fp != job.matrix_fingerprint {
+        return Err(ClusterError::Protocol(format!(
+            "matrix fingerprint {local_fp:#x} disagrees with coordinator's {:#x}; \
+             the worker is mining a different input",
+            job.matrix_fingerprint
+        )));
+    }
     let mut report = WorkerReport::default();
-    // Acquire retries forever (the coordinator may be restarting), so no
-    // budget — but the delay still grows and jitters so a fleet of
-    // waiting workers doesn't stampede a coordinator that comes back.
-    let mut backoff = Backoff::new(cfg.poll, BACKOFF_CAP);
+    let acquire = serde_json::to_string(&AcquireRequest {
+        worker: cfg.worker_id.clone(),
+    })?;
     loop {
-        let acquire = AcquireRequest {
-            worker: cfg.worker_id.clone(),
-        };
-        let body = serde_json::to_string(&acquire)?;
-        let response =
-            match http_request(&cfg.coordinator, "POST", "/lease/acquire", body.as_bytes()) {
-                Ok(reply) if reply.status == 200 => {
-                    match parse_json::<AcquireResponse>(&reply.body) {
-                        Some(r) => r,
-                        None => {
-                            backoff.sleep();
-                            continue;
-                        }
-                    }
-                }
-                // Shed, fault-injected, or coordinator down: back off
-                // (honoring a Retry-After hint when the server sent one).
-                Ok(reply) => {
-                    backoff.sleep_hinted(reply.retry_after);
-                    continue;
-                }
-                Err(_) => {
-                    backoff.sleep();
-                    continue;
-                }
-            };
-        backoff.reset();
+        let response: AcquireResponse = request_until_ok(
+            cfg,
+            &mut backoff,
+            "POST",
+            "/lease/acquire",
+            acquire.as_bytes(),
+        );
         match response.kind.as_str() {
-            "grant" => {
-                match mine_lease(
-                    cfg,
-                    &provenance,
-                    &params,
-                    &matrix,
-                    &miner,
-                    &response,
-                    &metrics,
-                )? {
-                    LeaseOutcome::Uploaded { resumed } => {
-                        report.leases_mined += 1;
-                        report.shards_uploaded += 1;
-                        if resumed {
-                            report.leases_resumed += 1;
-                        }
+            "grant" => match mine_lease(
+                cfg,
+                &pipeline,
+                &miner,
+                fingerprints.as_ref(),
+                job.generation,
+                &response,
+                &metrics,
+            )? {
+                LeaseOutcome::Uploaded { resumed } => {
+                    report.leases_mined += 1;
+                    report.shards_uploaded += 1;
+                    if resumed {
+                        report.leases_resumed += 1;
                     }
-                    LeaseOutcome::Lost => report.leases_lost += 1,
                 }
-            }
+                LeaseOutcome::Lost => report.leases_lost += 1,
+            },
             "wait" => {
                 backoff.sleep();
             }
@@ -216,14 +183,26 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, ClusterError> {
     Ok(report)
 }
 
-/// Fetches `/job`, retrying with backoff until the coordinator answers.
-fn fetch_job(cfg: &WorkerConfig) -> JobInfo {
-    let mut backoff = Backoff::new(cfg.poll, BACKOFF_CAP);
+/// Sends one request until the coordinator answers 200 with a parseable
+/// `T`, then resets `backoff`. A shed, fault-injected or garbled answer,
+/// or a coordinator that is down, backs off and retries, honoring a
+/// `Retry-After` hint when the server sent one.
+fn request_until_ok<T: serde::Deserialize>(
+    cfg: &WorkerConfig,
+    backoff: &mut Backoff,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> T {
     loop {
-        match http_request(&cfg.coordinator, "GET", "/job", &[]) {
+        match http_request(&cfg.coordinator, method, path, body) {
             Ok(reply) if reply.status == 200 => {
-                if let Some(job) = parse_json::<JobInfo>(&reply.body) {
-                    return job;
+                let parsed = std::str::from_utf8(&reply.body)
+                    .ok()
+                    .and_then(|s| serde_json::from_str(s).ok());
+                if let Some(value) = parsed {
+                    backoff.reset();
+                    return value;
                 }
                 backoff.sleep();
             }
@@ -237,20 +216,14 @@ fn fetch_job(cfg: &WorkerConfig) -> JobInfo {
     }
 }
 
-fn parse_json<T: serde::Deserialize>(bytes: &[u8]) -> Option<T> {
-    std::str::from_utf8(bytes)
-        .ok()
-        .and_then(|s| serde_json::from_str(s).ok())
-}
-
 /// Mines one granted lease: resume from checkpoint or sealed shard when
 /// present, heartbeat while mining, seal and upload.
 fn mine_lease(
     cfg: &WorkerConfig,
-    provenance: &StoreProvenance,
-    params: &MiningParams,
-    matrix: &ExpressionMatrix,
+    pipeline: &Pipeline,
     miner: &Miner<'_>,
+    fingerprints: Option<&Fingerprints>,
+    generation: u64,
     grant: &AcquireResponse,
     metrics: &WorkerMetrics,
 ) -> Result<LeaseOutcome, ClusterError> {
@@ -272,6 +245,7 @@ fn mine_lease(
         return upload_shard(cfg, grant, &shard_path, &ck_path, false, metrics);
     }
 
+    // An unreadable or corrupt checkpoint is ignored: the lease mines afresh.
     let resume = read_checkpoint(&ck_path).ok();
     let resumed = resume.is_some();
     if resumed {
@@ -281,28 +255,30 @@ fn mine_lease(
         );
     }
 
-    let writer = StoreWriter::create_with_provenance(
-        &shard_path,
-        matrix.gene_names(),
-        matrix.condition_names(),
-        params,
-        provenance,
-    )?;
-    let ck_file = CheckpointFile::new(&ck_path);
-    let mut plan = CheckpointPlan::new(&ck_file).with_every(cfg.checkpoint_every);
-    if let Some(ck) = resume {
-        plan = plan.with_resume(ck);
-    }
-
+    let roots = range_roots(start, end);
+    let source = Enumerate::RegCluster {
+        miner,
+        roots: Some(&roots),
+    };
+    let target = StoreTarget {
+        path: shard_path.clone(),
+        generation,
+        lineage: None,
+    };
+    let store = source.open_store(target, miner.matrix(), miner.params(), fingerprints)?;
     let control = MineControl::new();
     let heartbeat = spawn_heartbeat(cfg, grant, &control);
-    let roots = range_roots(start, end);
-    let mine_result = MineRequest::new(miner)
-        .roots(&roots)
-        .threads(cfg.threads.max(1))
-        .control(&control)
-        .checkpoint(plan)
-        .run(&writer);
+    let run = Run {
+        threads: cfg.threads.max(1),
+        control: &control,
+        observer: &NoopObserver,
+        checkpoint: Some(Checkpointing {
+            path: ck_path.clone(),
+            every: Some(cfg.checkpoint_every),
+            resume,
+        }),
+    };
+    let mined = pipeline.enumerate(&source, Some(&store), run);
     // Fault harnesses delay here to keep a mined lease live, and not
     // yet staged, while they crash a process.
     regcluster_failpoint::trigger("cluster::lease_hold");
@@ -311,27 +287,27 @@ fn mine_lease(
     // A checkpoint that no longer matches this run (params changed
     // between restarts, say) fails resume validation; throw it away and
     // let the next grant mine from scratch instead of wedging forever.
-    let stream = match mine_result {
-        Ok((stream, _)) => stream,
+    let (report, ..) = match mined {
+        Ok(mined) => mined,
         Err(e) => {
             let _ = std::fs::remove_file(&ck_path);
-            return Err(e.into());
+            return Err(e);
         }
     };
 
     if control.is_cancelled() {
-        // Lease lost mid-mine. The engine flushed a final checkpoint on
-        // early shutdown; keep it (a future grant of the same range
-        // resumes from it) and abandon the unsealed shard scratch.
+        // Lease lost, mid-mine or during the hold. The engine flushed a
+        // final checkpoint on early shutdown; keep it (a future grant of
+        // the same range resumes from it) and abandon the unsealed shard
+        // scratch.
         eprintln!(
             "worker {}: lost lease on roots [{start}, {end}), checkpoint kept",
             cfg.worker_id
         );
-        drop(writer);
         return Ok(LeaseOutcome::Lost);
     }
-    debug_assert!(!stream.stopped_by_sink, "store writer never refuses");
-    writer.finish()?;
+    debug_assert!(!report.stopped_by_sink, "store writer never refuses");
+    pipeline.store_write(store, &report, &[], &control)?;
     upload_shard(cfg, grant, &shard_path, &ck_path, resumed, metrics)
 }
 

@@ -70,7 +70,7 @@ use regcluster_matrix::ExpressionMatrix;
 
 #[cfg(doc)]
 use crate::cluster::RegCluster;
-use crate::engine::{ClusterSink, MineControl};
+use crate::engine::{ClusterSink, MineControl, StreamReport};
 use crate::error::CoreError;
 use crate::observer::{MiningStats, SyncMineObserver};
 
@@ -90,6 +90,18 @@ pub struct EngineReport {
     /// Search-effort counters, for engines that track them (the
     /// reg-cluster miner); `None` for engines without a node/prune notion.
     pub stats: Option<MiningStats>,
+}
+
+impl From<StreamReport> for EngineReport {
+    /// The report of a reg-cluster [`MineRequest`](crate::MineRequest) run.
+    fn from(stream: StreamReport) -> Self {
+        EngineReport {
+            n_emitted: stream.stats.emitted,
+            truncated: stream.truncated,
+            stopped_by_sink: stream.stopped_by_sink,
+            stats: Some(stream.stats),
+        }
+    }
 }
 
 impl EngineReport {

@@ -137,13 +137,15 @@ impl<'a> Miner<'a> {
             .collect()
     }
 
-    /// The matrix this miner was built over (for checkpoint provenance).
-    pub(crate) fn matrix(&self) -> &'a ExpressionMatrix {
+    /// The matrix this miner was built over (for store and checkpoint
+    /// provenance).
+    pub fn matrix(&self) -> &'a ExpressionMatrix {
         self.matrix
     }
 
-    /// The parameters this miner was built with (for checkpoint provenance).
-    pub(crate) fn params(&self) -> &'a MiningParams {
+    /// The parameters this miner was built with (for store and checkpoint
+    /// provenance).
+    pub fn params(&self) -> &'a MiningParams {
         self.params
     }
 

@@ -61,12 +61,7 @@ impl BiclusterEngine for RegClusterEngine {
         let miner = Miner::new(matrix, &self.params)?;
         let request = MineRequest::new(&miner).threads(self.threads);
         let (report, _) = request.control(control).observer(observer).run(sink)?;
-        Ok(EngineReport {
-            n_emitted: report.stats.emitted,
-            truncated: report.truncated,
-            stopped_by_sink: report.stopped_by_sink,
-            stats: Some(report.stats),
-        })
+        Ok(report.into())
     }
 }
 

@@ -127,12 +127,13 @@ impl Drop for Span<'_> {
 /// These strings are the `phase` label values on the phase metrics, and
 /// the contract surface for `docs/OBSERVABILITY.md` (covered by the same
 /// drift test as metric names).
-pub const PHASES: [&str; 5] = [
+pub const PHASES: [&str; 6] = [
     "load",
     "index_build",
     "enumeration",
     "postprocess",
     "store_write",
+    "report",
 ];
 
 /// Per-phase timing instruments for the mining pipeline.

@@ -428,8 +428,9 @@ impl ClusterStore {
         decode_record(self.section(SectionId::Clusters), off).map(|(c, _)| c)
     }
 
-    /// The packed record bytes of cluster `id`, exactly as stored — the
-    /// splice path of delta mining copies these into a new store through
+    /// The packed record bytes of cluster `id`, exactly as stored — shard
+    /// merging ([`merge_shards`](crate::merge_shards)) copies these into a
+    /// new store through
     /// [`StoreWriter::write_raw_record`](crate::StoreWriter::write_raw_record)
     /// without materializing a [`RegCluster`].
     ///

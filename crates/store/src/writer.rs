@@ -388,8 +388,8 @@ impl StoreWriter {
 
     /// Appends one cluster as already-packed record bytes, e.g. straight
     /// from [`ClusterStore::record_bytes`](crate::ClusterStore::record_bytes)
-    /// — the splice path of delta mining, which copies unchanged-root
-    /// records between stores without materializing [`RegCluster`]s. The
+    /// — the path of shard merging, which copies records between stores
+    /// without materializing [`RegCluster`]s. The
     /// record's shape and every id are still validated against this
     /// writer's dictionaries, so a cross-store mix-up cannot seal a
     /// corrupt file.

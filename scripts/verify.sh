@@ -53,6 +53,8 @@ if [[ "$QUICK" == 1 ]]; then
 else
   cargo test -q -p regcluster-cli --test cluster_harness
 fi
+# In-process shards over random root ranges merge into a full mine's bytes.
+cargo test -q -p regcluster-cluster --lib pipeline
 
 echo "==> delta equivalence (mutated matrix delta-mined bit-identical to a full re-mine, 1-8 threads)"
 cargo test -q -p regcluster-core --test delta_golden
@@ -67,6 +69,9 @@ cargo test -q -p regcluster-cli --test engines_matrix
 
 echo "==> benchmark builds and passes its own tests (perfbench is a separate workspace)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# perfbench/Cargo.lock pins the crate graph; a changed graph must fail here
+# rather than silently rewrite the committed lockfile.
+git diff --exit-code -- perfbench/Cargo.lock
 
 echo "==> engine-comparison bench, smoke mode"
 REGCLUSTER_RESULTS="$(mktemp -d)" \
