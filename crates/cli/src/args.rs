@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
 
 use regcluster_core::{MiningParams, RegulationThreshold};
 use regcluster_datagen::{PatternKind, SyntheticConfig};
@@ -231,197 +232,299 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Usage text printed by `regcluster help`.
+/// Usage text printed by `regcluster help`, and the parser's option table:
+/// under each `  regcluster <sub>` heading, a line of six spaces and `--name`
+/// declares an option of `<sub>`. A `<VALUE>` right after the name makes it
+/// take a value (else it is a flag); `(default X)` on its line or a deeper
+/// continuation line is its value when absent. No prose line may start with
+/// six spaces and `--`.
 pub const USAGE: &str = "\
 regcluster — mining shifting-and-scaling co-regulation patterns (ICDE 2006)
 
 USAGE:
   regcluster mine --input <matrix.tsv> [options]
+      --input <matrix.tsv>   tab-delimited expression matrix
       --engine <NAME>        mining engine (default reg-cluster):
                              reg-cluster | pcluster | scaling | cheng-church |
                              floc | opsm | op-cluster | microcluster | boolean
       --min-genes <N>        minimum genes per cluster (default 20)
       --min-conds <N>        minimum chain length (default 6)
       --delta <F>            baseline model tolerance (pScore δ / residue δ /
-                             ratio ε / quantization step, engine-dependent);
-                             each engine has its own default; reg-cluster
-                             ignores it
+                             ratio ε / quantization step, engine-dependent;
+                             each engine has its own); reg-cluster ignores it
       --gamma <F>            regulation threshold, fraction of range (default 0.05)
-      --gamma-absolute <F>   use an absolute regulation threshold instead
+      --gamma-absolute <F>   absolute regulation threshold, instead of --gamma
       --epsilon <F>          coherence threshold (default 1.0)
       --threads <N>          worker threads (default 1)
-      --deadline-secs <F>    wall-clock budget; exceeding it yields partial,
-                             truncated results instead of an error
+      --deadline-secs <F>    wall-clock budget; past it, the run stops with
+                             partial, truncated results instead of an error
       --max-clusters <N>     keep only the first N clusters (canonical order)
       --maximal-only         drop clusters contained in another
       --impute <MODE>        none | row-mean | col-mean (default none)
       --stats                print search-effort statistics (any thread count)
       --progress             print streaming progress to stderr
       --output <file.json>   write clusters as JSON instead of a table
-      --store <file.rcs>     also stream clusters into an indexed binary
-                             store for `query` and `serve`
-      --metrics <file.prom>  write a Prometheus text snapshot of the run's
-                             metrics (phase timings, per-rule prune counters;
-                             see docs/OBSERVABILITY.md)
+      --store <file.rcs>     also write an indexed store for `query` and `serve`
+      --metrics <file.prom>  write a Prometheus snapshot of the run's metrics
+                             (phase timings, prune counters; see
+                             docs/OBSERVABILITY.md)
       --metrics-json <file.json>  the same snapshot as versioned JSON
-      --checkpoint <file.rck>  write crash-recovery snapshots here: on
-                             deadline/cancellation/worker panic, and
-                             periodically with --checkpoint-every-secs
+      --checkpoint <file.rck>  write crash-recovery snapshots here on deadline,
+                             cancellation or worker panic
       --checkpoint-every-secs <F>  also snapshot about every F seconds
-      --resume <file.rck>    resume an interrupted run from its checkpoint
-                             (the result is bit-identical to an
-                             uninterrupted run; see docs/ROBUSTNESS.md)
-      --delta-from <prev>    delta-mine against a previous run: <prev> is
-                             its .rcs store (or a generations directory),
-                             only subtrees whose input rows changed are
-                             re-enumerated, the rest is spliced from the
-                             previous store; output is bit-identical to a
-                             full re-mine (reg-cluster only; see
-                             DESIGN.md §13); --maximal-only/--max-clusters
-                             run as a post-pass over the spliced result
-                             (the previous store must be unfiltered)
-                             with --store <dir> the new store is published
-                             as the directory's next generation
+      --resume <file.rck>    resume an interrupted run from its checkpoint,
+                             bit-identically (see docs/ROBUSTNESS.md)
+      --delta-from <prev>    delta-mine against a previous run's .rcs store
+                             (or generations directory): only subtrees whose
+                             input rows changed are re-enumerated, and the
+                             output is bit-identical to a full re-mine
+                             (reg-cluster only; see DESIGN.md §13);
+                             --maximal-only/--max-clusters run as a post-pass
+                             (the previous store must be unfiltered); with
+                             --store <dir> the result is its next generation
 
   regcluster generate --output <matrix.tsv> [options]
+      --output <matrix.tsv>  where to write the matrix
       --genes <N>            number of genes (default 3000)
       --conds <N>            number of conditions (default 30)
       --clusters <N>         embedded clusters (default 30)
       --pattern <KIND>       shift-scale | shift-only | scale-only | tendency
+                             (default shift-scale)
       --plant-gamma <F>      regulation margin of planted clusters (default 0.15)
       --neg-fraction <F>     fraction of negated member genes (default 0.25)
       --gene-frac <F>        average fraction of genes per cluster (default 0.01)
       --seed <N>             RNG seed (default 42)
       --ground-truth <file.json>  also write the planted clusters
 
-  regcluster generate-yeast --output <matrix.tsv> [--go <go.json>]
-      [--modules <modules.json>] [--seed <N>]
+  regcluster generate-yeast --output <matrix.tsv> [options]
       writes the simulated 2884×17 yeast benchmark with its synthetic GO
       annotation database and planted-module ground truth
+      --output <matrix.tsv>  where to write the matrix
+      --go <go.json>         also write the GO annotation database
+      --modules <modules.json>  also write the planted-module ground truth
+      --seed <N>             RNG seed (default 2006)
 
   regcluster enrich --clusters <found.json> --go <go.json> [--top <N>]
-      prints the top GO term per category for each mined cluster
-      (the paper's Table 2 layout)
+      prints each mined cluster's top GO term per category (Table 2)
+      --clusters <found.json>  clusters written by `mine --output`
+      --go <go.json>         GO database written by `generate-yeast --go`
+      --top <N>              report the N largest clusters (default 5)
 
   regcluster eval --clusters <found.json|store.rcs> --ground-truth <truth.json>
-      scores mined clusters (a `mine --output` JSON or a `.rcs` store
-      from any engine) against the planted ground truth
+      scores any engine's mined clusters against the planted ground truth
+      --clusters <found.json|store.rcs>  the mined clusters
+      --ground-truth <truth.json>  written by `generate --ground-truth`
 
   regcluster info --input <matrix.tsv>
+      --input <matrix.tsv>   the matrix whose statistics to print
 
   regcluster rwave --input <matrix.tsv> --gene <label> [--gamma <F>]
-      prints the gene's RWave^γ model: the condition ordering and the
-      bordering regulation pointers (default γ = 0.15)
+      prints the gene's RWave^γ model: condition order and regulation pointers
+      --input <matrix.tsv>   tab-delimited expression matrix
+      --gene <label>         the gene to inspect
+      --gamma <F>            regulation threshold, fraction of range (default 0.15)
 
   regcluster query --store <out.rcs> [options]
-      --gene <LIST>          comma-separated gene names or ids; matches must
-                             contain every listed gene
-      --cond <LIST>          comma-separated condition names or ids; the
-                             chain must span every listed condition
-      --min-genes <N>        at least N member genes
-      --min-conds <N>        chain at least N conditions long
+      --store <out.rcs>      store written by `mine --store`
+      --gene <LIST>          gene names or ids, comma-separated; all must be members
+      --cond <LIST>          condition names or ids; all must be on the chain
+      --min-genes <N>        at least N member genes (default 0)
+      --min-conds <N>        chain at least N conditions long (default 0)
       --top <N>              keep only the N largest matches (covered cells)
       --json                 print matching clusters as JSON
 
-  regcluster serve --store <out.rcs> [--port <N>] [--threads <N>]
-      [--requests <N>] [--queue <N>]
-      serves the store over HTTP on 127.0.0.1 (port 0 = pick a free port,
-      printed on startup); endpoints: /health, /stats,
-      /clusters?gene=..&cond=..&min_genes=..&min_conds=..&top=..,
-      /clusters/{id}; --requests N stops gracefully after N requests;
-      --queue N bounds the accept queue (default 64) — overload beyond it
-      is shed with 503 + Retry-After instead of queueing unboundedly;
-      --watch <dir> (instead of --store) serves a generations directory's
-      published generation and hot-swaps to new ones as they are
-      published, without dropping in-flight requests;
-      --watch-interval-ms N re-reads CURRENT about every N ms
-      (default 100); unreadable CURRENT observations are counted on
-      regcluster_store_watch_errors_total and retried
+  regcluster serve (--store <out.rcs> | --watch <dir>) [options]
+      serves the store over HTTP on 127.0.0.1; endpoints: /health, /stats,
+      /clusters?gene=..&cond=..&min_genes=..&min_conds=..&top=.., /clusters/{id}
+      --store <out.rcs>      store written by `mine --store`
+      --watch <dir>          serve a generations directory instead, hot-swapping
+                             to each new generation without dropping requests
+      --port <N>             0 picks a free port, printed on startup (default 7878)
+      --threads <N>          request worker threads (default 4)
+      --requests <N>         stop gracefully after N requests
+      --queue <N>            accept-queue bound; overload beyond it is shed
+                             with 503 + Retry-After (default 64)
+      --watch-interval-ms <N>  re-read CURRENT about every N ms; unreadable
+                             ones count on regcluster_store_watch_errors_total
+                             and are retried (default 100)
 
-  regcluster coordinator --input <matrix.tsv> --store <gens-dir>
-      --work-dir <dir> [--port <N>] [--leases <N>] [--lease-ttl-ms <N>]
-      [--min-genes <N>] [--min-conds <N>] [--gamma <F>]
-      [--gamma-absolute <F>] [--epsilon <F>] [--linger]
-      coordinates a distributed mine: partitions the root space into
-      --leases ranges, leases them to workers over HTTP on 127.0.0.1
-      (port 0 = pick a free port, printed on startup), expires and
-      re-grants leases not renewed within --lease-ttl-ms, merges the
-      uploaded shards bit-identically to a single-node `mine --store`
-      and publishes the result as <gens-dir>'s next generation;
-      --linger keeps /job, /status and /metrics up after publishing
+  regcluster coordinator --input <matrix.tsv> --store <gens-dir> --work-dir <dir>
+      leases root ranges to workers over HTTP on 127.0.0.1, merges their
+      shards bit-identically to a single-node `mine --store` and publishes
+      the result as <gens-dir>'s next generation
+      --input <matrix.tsv>   expression matrix (workers load the same bytes)
+      --store <gens-dir>     generations directory to publish into
+      --work-dir <dir>       scratch directory for staged shards
+      --port <N>             0 picks a free port, printed on startup (default 0)
+      --leases <N>           ranges to slice the root space into (default 8)
+      --lease-ttl-ms <N>     re-grant a lease not renewed in N ms (default 10000)
+      --min-genes <N>        minimum genes per cluster (default 20)
+      --min-conds <N>        minimum chain length (default 6)
+      --gamma <F>            regulation threshold, fraction of range (default 0.05)
+      --gamma-absolute <F>   absolute regulation threshold, instead of --gamma
+      --epsilon <F>          coherence threshold (default 1.0)
+      --linger               keep /job, /status and /metrics up after publishing
 
-  regcluster worker --input <matrix.tsv> --coordinator <host:port>
-      --work-dir <dir> [--threads <N>] [--worker-id <NAME>]
-      [--poll-ms <N>] [--checkpoint-every-secs <F>]
-      mines root ranges leased from a coordinator, checkpointing the
-      frontier to --work-dir (crash-resumable per lease), heartbeating
-      to keep its leases and uploading sealed shards; exits when the
-      coordinator reports every lease done
+  regcluster worker --input <matrix.tsv> --coordinator <host:port> --work-dir <dir>
+      mines root ranges leased from a coordinator and uploads their shards;
+      exits when the coordinator reports every lease done
+      --input <matrix.tsv>   expression matrix (the coordinator's bytes)
+      --coordinator <host:port>  the coordinator's control-plane address
+      --work-dir <dir>       scratch for shards and per-lease checkpoints
+      --threads <N>          mining threads (default 1)
+      --worker-id <NAME>     name reported to the coordinator (pid-based if absent)
+      --poll-ms <N>          idle poll while waiting for a grant (default 200)
+      --checkpoint-every-secs <F>  snapshot about every F seconds (default 1.0)
 
   regcluster help
-      prints this text
+      prints this text; so does --help after any subcommand
 ";
 
-fn take_options(rest: &[String]) -> Result<HashMap<String, String>, ParseError> {
-    let mut opts = HashMap::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = &rest[i];
-        let Some(stripped) = arg.strip_prefix("--") else {
-            return Err(ParseError(format!(
-                "unexpected argument {arg:?} (options start with --)"
-            )));
-        };
-        if let Some((k, v)) = stripped.split_once('=') {
-            opts.insert(k.to_string(), v.to_string());
-            i += 1;
-        } else if is_boolean_flag(stripped) {
-            opts.insert(stripped.to_string(), "true".to_string());
-            i += 1;
-        } else {
-            let v = rest
-                .get(i + 1)
-                .ok_or_else(|| ParseError(format!("option --{stripped} needs a value")))?;
-            opts.insert(stripped.to_string(), v.clone());
-            i += 2;
+/// One option of a `USAGE` section: (name, takes a value, default).
+type Row = (&'static str, bool, Option<&'static str>);
+
+/// Scans `sub`'s `USAGE` section into its option rows (see [`USAGE`]).
+fn section(sub: &str) -> Vec<Row> {
+    let mut rows: Vec<Row> = Vec::new();
+    let (mut inside, mut open) = (false, false);
+    for line in USAGE.lines() {
+        if let Some(heading) = line.strip_prefix("  regcluster ") {
+            inside = heading.split_whitespace().next() == Some(sub);
+            open = false;
+            continue;
+        }
+        if !inside {
+            continue;
+        }
+        if let Some(decl) = line.strip_prefix("      --") {
+            let (name, help) = decl.split_once(' ').unwrap_or((decl, ""));
+            rows.push((name, help.starts_with('<'), None));
+            open = true;
+        } else if !(open && line.starts_with("       ")) {
+            open = false;
+            continue;
+        }
+        if let (Some(row), Some((_, rest))) = (rows.last_mut(), line.split_once("(default ")) {
+            row.2 = rest.split_once(')').map(|(default, _)| default);
         }
     }
-    Ok(opts)
+    rows
 }
 
-fn is_boolean_flag(name: &str) -> bool {
-    matches!(
-        name,
-        "maximal-only" | "help" | "stats" | "progress" | "json" | "linger"
-    )
+type Parsed<T> = Result<T, ParseError>;
+
+fn err<T>(msg: impl Into<String>) -> Parsed<T> {
+    Err(ParseError(msg.into()))
 }
 
-fn get<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, ParseError> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| ParseError(format!("cannot parse --{key} value {v:?}"))),
+/// A subcommand's arguments, read against its `USAGE` rows.
+struct Opts {
+    rows: Vec<Row>,
+    given: HashMap<&'static str, String>,
+}
+
+impl Opts {
+    /// Reads `args` against `sub`'s rows, rejecting a bad token where it stands.
+    fn parse(sub: &str, args: &[String]) -> Parsed<Self> {
+        let rows = section(sub);
+        let mut given = HashMap::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(opt) = arg.strip_prefix("--") else {
+                return err(format!(
+                    "unexpected argument {arg:?} (options start with --)"
+                ));
+            };
+            let (name, inline) = match opt.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (opt, None),
+            };
+            let Some(&(name, takes_value, _)) = rows.iter().find(|row| row.0 == name) else {
+                return err(format!("unknown option --{name}"));
+            };
+            let value = match (takes_value, inline) {
+                (false, None) => String::new(),
+                (false, Some(_)) => return err(format!("option --{name} takes no value")),
+                (true, Some(value)) => value.to_string(),
+                (true, None) => args
+                    .next()
+                    .cloned()
+                    .ok_or_else(|| ParseError(format!("option --{name} needs a value")))?,
+            };
+            given.insert(name, value);
+        }
+        Ok(Opts { rows, given })
     }
-}
 
-fn require(opts: &HashMap<String, String>, key: &str) -> Result<String, ParseError> {
-    opts.get(key)
-        .cloned()
-        .ok_or_else(|| ParseError(format!("missing required option --{key}")))
-}
+    fn row(&self, name: &str) -> &Row {
+        let row = self.rows.iter().find(|row| row.0 == name);
+        row.unwrap_or_else(|| panic!("--{name} is not declared in its USAGE section"))
+    }
 
-fn check_known(opts: &HashMap<String, String>, known: &[&str]) -> Result<(), ParseError> {
-    for k in opts.keys() {
-        if !known.contains(&k.as_str()) {
-            return Err(ParseError(format!("unknown option --{k}")));
+    /// The user's text for `--name`, else its `USAGE` default.
+    fn raw(&self, name: &str) -> Option<&str> {
+        let given = self.given.get(name).map(String::as_str);
+        given.or(self.row(name).2)
+    }
+
+    /// Whether the user gave `--name` (for a flag: whether it is on).
+    fn has(&self, name: &str) -> bool {
+        self.given.contains_key(self.row(name).0)
+    }
+
+    /// `--name` parsed, or `None` when it is absent and has no default.
+    fn value<T: FromStr>(&self, name: &str) -> Parsed<Option<T>> {
+        self.raw(name)
+            .map(|v| {
+                v.parse()
+                    .or_else(|_| err(format!("cannot parse --{name} value {v:?}")))
+            })
+            .transpose()
+    }
+
+    /// `--name` parsed; an option with no default is required.
+    fn get<T: FromStr>(&self, name: &str) -> Parsed<T> {
+        self.value(name)?
+            .ok_or_else(|| ParseError(format!("missing required option --{name}")))
+    }
+
+    /// `--name` as a finite number that passes `ok`; `what` names the
+    /// domain in the error.
+    fn number(&self, name: &str, what: &str, ok: fn(f64) -> bool) -> Parsed<Option<f64>> {
+        match self.value::<f64>(name)? {
+            Some(v) if !(v.is_finite() && ok(v)) => err(format!(
+                "--{name} must be {what}, got {:?}",
+                self.raw(name).unwrap_or_default()
+            )),
+            v => Ok(v),
         }
     }
-    Ok(())
+
+    fn non_negative(&self, name: &str) -> Parsed<Option<f64>> {
+        self.number(name, "a non-negative number", |v| v >= 0.0)
+    }
+
+    /// `--name` parsed and at least 1; `why` ends the error message.
+    fn at_least_1<T: FromStr + PartialOrd + From<u8>>(&self, name: &str, why: &str) -> Parsed<T> {
+        let v = self.get(name)?;
+        if v < T::from(1) {
+            return err(format!("--{name} must be at least 1{why}"));
+        }
+        Ok(v)
+    }
+
+    /// `--name`, which must be one of `choices`.
+    fn choice(&self, name: &str, choices: &[&'static str]) -> Parsed<&'static str> {
+        let v: String = self.get(name)?;
+        if let Some(choice) = choices.iter().find(|c| **c == v) {
+            return Ok(choice);
+        }
+        let (last, init) = choices.split_last().expect("a choice needs choices");
+        err(format!(
+            "--{name} must be {} or {last}, got {v:?}",
+            init.join(", ")
+        ))
+    }
 }
 
 /// Parses a full argument vector (excluding the program name).
@@ -430,470 +533,267 @@ fn check_known(opts: &HashMap<String, String>, known: &[&str]) -> Result<(), Par
 ///
 /// Returns a [`ParseError`] describing the first problem encountered.
 pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
-    let Some(cmd) = args.first() else {
+    let Some(sub) = args.first() else {
         return Ok(Command::Help);
     };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "mine" => {
-            let opts = take_options(rest)?;
-            check_known(
-                &opts,
-                &[
-                    "input",
-                    "engine",
-                    "delta",
-                    "min-genes",
-                    "min-conds",
-                    "gamma",
-                    "gamma-absolute",
-                    "epsilon",
-                    "threads",
-                    "deadline-secs",
-                    "max-clusters",
-                    "maximal-only",
-                    "impute",
-                    "output",
-                    "stats",
-                    "progress",
-                    "store",
-                    "metrics",
-                    "metrics-json",
-                    "checkpoint",
-                    "checkpoint-every-secs",
-                    "resume",
-                    "delta-from",
-                ],
-            )?;
-            let input = require(&opts, "input")?;
-            let engine = get(&opts, "engine", "reg-cluster".to_string())?;
-            if !regcluster_engines::ENGINE_NAMES.contains(&engine.as_str()) {
-                return Err(ParseError(format!(
-                    "unknown engine {engine:?}; known engines: {}",
-                    regcluster_engines::ENGINE_NAMES.join(", ")
-                )));
-            }
-            let delta = match opts.get("delta") {
-                Some(s) => {
-                    let v: f64 = s
-                        .parse()
-                        .map_err(|_| ParseError(format!("cannot parse --delta {s:?}")))?;
-                    if !v.is_finite() || v <= 0.0 {
-                        return Err(ParseError(format!(
-                            "--delta must be a positive number, got {s:?}"
-                        )));
-                    }
-                    Some(v)
-                }
-                None => None,
-            };
-            let min_genes = get(&opts, "min-genes", 20usize)?;
-            let min_conds = get(&opts, "min-conds", 6usize)?;
-            let epsilon = get(&opts, "epsilon", 1.0f64)?;
-            let mut params = MiningParams::new(min_genes, min_conds, 0.05, epsilon)
-                .map_err(|e| ParseError(e.to_string()))?;
-            if let Some(abs) = opts.get("gamma-absolute") {
-                let v: f64 = abs
-                    .parse()
-                    .map_err(|_| ParseError(format!("cannot parse --gamma-absolute {abs:?}")))?;
-                params = params
-                    .with_threshold(RegulationThreshold::Absolute(v))
-                    .map_err(|e| ParseError(e.to_string()))?;
-            } else {
-                let gamma = get(&opts, "gamma", 0.05f64)?;
-                params = params
-                    .with_threshold(RegulationThreshold::FractionOfRange(gamma))
-                    .map_err(|e| ParseError(e.to_string()))?;
-            }
-            if let Some(cap) = opts.get("max-clusters") {
-                let cap: usize = cap
-                    .parse()
-                    .map_err(|_| ParseError(format!("cannot parse --max-clusters {cap:?}")))?;
-                params = params.with_max_clusters(cap);
-            }
-            if opts.contains_key("maximal-only") {
-                params = params.with_maximal_only();
-            }
-            let impute = get(&opts, "impute", "none".to_string())?;
-            if !["none", "row-mean", "col-mean"].contains(&impute.as_str()) {
-                return Err(ParseError(format!(
-                    "--impute must be none, row-mean or col-mean, got {impute:?}"
-                )));
-            }
-            let deadline_secs = match opts.get("deadline-secs") {
-                Some(s) => {
-                    let v: f64 = s
-                        .parse()
-                        .map_err(|_| ParseError(format!("cannot parse --deadline-secs {s:?}")))?;
-                    if !v.is_finite() || v < 0.0 {
-                        return Err(ParseError(format!(
-                            "--deadline-secs must be a non-negative number, got {s:?}"
-                        )));
-                    }
-                    Some(v)
-                }
-                None => None,
-            };
-            let checkpoint_every_secs = match opts.get("checkpoint-every-secs") {
-                Some(s) => {
-                    let v: f64 = s.parse().map_err(|_| {
-                        ParseError(format!("cannot parse --checkpoint-every-secs {s:?}"))
-                    })?;
-                    if !v.is_finite() || v < 0.0 {
-                        return Err(ParseError(format!(
-                            "--checkpoint-every-secs must be a non-negative number, got {s:?}"
-                        )));
-                    }
-                    Some(v)
-                }
-                None => None,
-            };
-            let checkpoint = opts.get("checkpoint").cloned();
-            let resume = opts.get("resume").cloned();
-            if checkpoint_every_secs.is_some() && checkpoint.is_none() && resume.is_none() {
-                return Err(ParseError(
-                    "--checkpoint-every-secs needs --checkpoint (or --resume) \
-                     to know where snapshots go"
-                        .into(),
-                ));
-            }
-            // Checkpoints snapshot the reg-cluster enumeration frontier; no
-            // other engine has one, so refuse up front rather than silently
-            // mining without crash safety.
-            if engine != "reg-cluster" && (checkpoint.is_some() || resume.is_some()) {
-                return Err(ParseError(format!(
-                    "--checkpoint/--resume are only supported by the reg-cluster \
-                     engine, not {engine:?}"
-                )));
-            }
-            let delta_from = opts.get("delta-from").cloned();
-            if delta_from.is_some() {
-                // Per-root reuse leans on the reg-cluster enumeration
-                // tree's root decomposition; no other engine has one.
-                if engine != "reg-cluster" {
-                    return Err(ParseError(format!(
-                        "--delta-from is only supported by the reg-cluster \
-                         engine, not {engine:?}"
-                    )));
-                }
-                if checkpoint.is_some() || resume.is_some() {
-                    return Err(ParseError(
-                        "--delta-from cannot be combined with --checkpoint/--resume \
-                         (a delta mine is already incremental)"
-                            .into(),
-                    ));
-                }
-                // maximal-only / max-clusters compose with --delta-from:
-                // the splice produces the unfiltered union and the filters
-                // run as a post-pass over it (the previous store must
-                // itself be unfiltered; `mine` checks that).
-            }
-            Ok(Command::Mine {
-                input,
-                engine,
-                params,
-                delta,
-                threads: get(&opts, "threads", 1usize)?,
-                deadline_secs,
-                progress: opts.contains_key("progress"),
-                output: opts.get("output").cloned(),
-                impute,
-                stats: opts.contains_key("stats"),
-                store: opts.get("store").cloned(),
-                metrics: opts.get("metrics").cloned(),
-                metrics_json: opts.get("metrics-json").cloned(),
-                checkpoint,
-                checkpoint_every_secs,
-                resume,
-                delta_from,
-            })
+    let build: fn(&Opts) -> Parsed<Command> = match sub.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "mine" => mine,
+        "generate" => generate,
+        "generate-yeast" => generate_yeast,
+        "enrich" => enrich,
+        "eval" => eval,
+        "info" => info,
+        "rwave" => rwave,
+        "query" => query,
+        "serve" => serve,
+        "coordinator" => coordinator,
+        "worker" => worker,
+        other => {
+            return err(format!(
+                "unknown subcommand {other:?}; try `regcluster help`"
+            ))
         }
-        "generate" => {
-            let opts = take_options(rest)?;
-            check_known(
-                &opts,
-                &[
-                    "output",
-                    "genes",
-                    "conds",
-                    "clusters",
-                    "pattern",
-                    "plant-gamma",
-                    "neg-fraction",
-                    "gene-frac",
-                    "seed",
-                    "ground-truth",
-                ],
-            )?;
-            let output = require(&opts, "output")?;
-            let pattern = match opts.get("pattern").map(String::as_str).unwrap_or("shift-scale") {
-                "shift-scale" => PatternKind::ShiftScale,
-                "shift-only" => PatternKind::ShiftOnly,
-                "scale-only" => PatternKind::ScaleOnly,
-                "tendency" => PatternKind::Tendency,
-                other => {
-                    return Err(ParseError(format!(
-                        "--pattern must be shift-scale, shift-only, scale-only or tendency, got {other:?}"
-                    )))
-                }
-            };
-            let defaults = SyntheticConfig::default();
-            let config = SyntheticConfig {
-                n_genes: get(&opts, "genes", defaults.n_genes)?,
-                n_conds: get(&opts, "conds", defaults.n_conds)?,
-                n_clusters: get(&opts, "clusters", defaults.n_clusters)?,
-                plant_gamma: get(&opts, "plant-gamma", defaults.plant_gamma)?,
-                neg_fraction: get(&opts, "neg-fraction", defaults.neg_fraction)?,
-                cluster_gene_frac: get(&opts, "gene-frac", defaults.cluster_gene_frac)?,
-                seed: get(&opts, "seed", defaults.seed)?,
-                pattern,
-                ..defaults
-            };
-            Ok(Command::Generate {
-                output,
-                config,
-                ground_truth: opts.get("ground-truth").cloned(),
-            })
-        }
-        "generate-yeast" => {
-            let opts = take_options(rest)?;
-            check_known(&opts, &["output", "go", "modules", "seed"])?;
-            Ok(Command::GenerateYeast {
-                output: require(&opts, "output")?,
-                go: opts.get("go").cloned(),
-                modules: opts.get("modules").cloned(),
-                seed: get(&opts, "seed", 2006u64)?,
-            })
-        }
-        "enrich" => {
-            let opts = take_options(rest)?;
-            check_known(&opts, &["clusters", "go", "top"])?;
-            Ok(Command::Enrich {
-                clusters: require(&opts, "clusters")?,
-                go: require(&opts, "go")?,
-                top: get(&opts, "top", 5usize)?,
-            })
-        }
-        "eval" => {
-            let opts = take_options(rest)?;
-            check_known(&opts, &["clusters", "ground-truth"])?;
-            Ok(Command::Eval {
-                clusters: require(&opts, "clusters")?,
-                ground_truth: require(&opts, "ground-truth")?,
-            })
-        }
-        "info" => {
-            let opts = take_options(rest)?;
-            check_known(&opts, &["input"])?;
-            Ok(Command::Info {
-                input: require(&opts, "input")?,
-            })
-        }
-        "rwave" => {
-            let opts = take_options(rest)?;
-            check_known(&opts, &["input", "gene", "gamma"])?;
-            Ok(Command::RWave {
-                input: require(&opts, "input")?,
-                gene: require(&opts, "gene")?,
-                gamma: get(&opts, "gamma", 0.15f64)?,
-            })
-        }
-        "query" => {
-            let opts = take_options(rest)?;
-            check_known(
-                &opts,
-                &[
-                    "store",
-                    "gene",
-                    "cond",
-                    "min-genes",
-                    "min-conds",
-                    "top",
-                    "json",
-                ],
-            )?;
-            let top = match opts.get("top") {
-                Some(v) => Some(
-                    v.parse::<usize>()
-                        .map_err(|_| ParseError(format!("cannot parse --top value {v:?}")))?,
-                ),
-                None => None,
-            };
-            Ok(Command::Query {
-                store: require(&opts, "store")?,
-                genes: opts.get("gene").cloned(),
-                conds: opts.get("cond").cloned(),
-                min_genes: get(&opts, "min-genes", 0u32)?,
-                min_conds: get(&opts, "min-conds", 0u32)?,
-                top,
-                json: opts.contains_key("json"),
-            })
-        }
-        "serve" => {
-            let opts = take_options(rest)?;
-            check_known(
-                &opts,
-                &[
-                    "store",
-                    "watch",
-                    "port",
-                    "threads",
-                    "requests",
-                    "queue",
-                    "watch-interval-ms",
-                ],
-            )?;
-            let requests = match opts.get("requests") {
-                Some(v) => Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ParseError(format!("cannot parse --requests value {v:?}")))?,
-                ),
-                None => None,
-            };
-            let queue = get(&opts, "queue", 64usize)?;
-            if queue == 0 {
-                return Err(ParseError(
-                    "--queue must be at least 1 (a zero-capacity accept queue \
-                     would shed every request)"
-                        .into(),
-                ));
-            }
-            // Exactly one of --store (a sealed .rcs file) and --watch (a
-            // generations directory to hot-swap from) names what to serve.
-            let (store, watch) = match (opts.get("store"), opts.get("watch")) {
-                (Some(s), None) => (s.clone(), false),
-                (None, Some(d)) => (d.clone(), true),
-                (Some(_), Some(_)) => {
-                    return Err(ParseError(
-                        "--store and --watch are mutually exclusive (a file vs a \
-                         generations directory)"
-                            .into(),
-                    ))
-                }
-                (None, None) => {
-                    return Err(ParseError(
-                        "serve needs --store <file.rcs> or --watch <dir>".into(),
-                    ))
-                }
-            };
-            let watch_interval_ms = get(&opts, "watch-interval-ms", 100u64)?;
-            if watch_interval_ms == 0 {
-                return Err(ParseError(
-                    "--watch-interval-ms must be at least 1 (a zero interval \
-                     would spin the watcher thread)"
-                        .into(),
-                ));
-            }
-            if opts.contains_key("watch-interval-ms") && !watch {
-                return Err(ParseError(
-                    "--watch-interval-ms only applies with --watch <dir>".into(),
-                ));
-            }
-            Ok(Command::Serve {
-                store,
-                watch,
-                port: get(&opts, "port", 7878u16)?,
-                threads: get(&opts, "threads", 4usize)?,
-                requests,
-                queue,
-                watch_interval_ms,
-            })
-        }
-        "coordinator" => {
-            let opts = take_options(rest)?;
-            check_known(
-                &opts,
-                &[
-                    "input",
-                    "store",
-                    "work-dir",
-                    "port",
-                    "leases",
-                    "lease-ttl-ms",
-                    "linger",
-                    "min-genes",
-                    "min-conds",
-                    "gamma",
-                    "gamma-absolute",
-                    "epsilon",
-                ],
-            )?;
-            let min_genes = get(&opts, "min-genes", 20usize)?;
-            let min_conds = get(&opts, "min-conds", 6usize)?;
-            let epsilon = get(&opts, "epsilon", 1.0f64)?;
-            let mut params = MiningParams::new(min_genes, min_conds, 0.05, epsilon)
-                .map_err(|e| ParseError(e.to_string()))?;
-            if let Some(abs) = opts.get("gamma-absolute") {
-                let v: f64 = abs
-                    .parse()
-                    .map_err(|_| ParseError(format!("cannot parse --gamma-absolute {abs:?}")))?;
-                params = params
-                    .with_threshold(RegulationThreshold::Absolute(v))
-                    .map_err(|e| ParseError(e.to_string()))?;
-            } else {
-                let gamma = get(&opts, "gamma", 0.05f64)?;
-                params = params
-                    .with_threshold(RegulationThreshold::FractionOfRange(gamma))
-                    .map_err(|e| ParseError(e.to_string()))?;
-            }
-            let leases = get(&opts, "leases", 8usize)?;
-            if leases == 0 {
-                return Err(ParseError("--leases must be at least 1".into()));
-            }
-            let lease_ttl_ms = get(&opts, "lease-ttl-ms", 10_000u64)?;
-            if lease_ttl_ms == 0 {
-                return Err(ParseError("--lease-ttl-ms must be at least 1".into()));
-            }
-            Ok(Command::Coordinator {
-                input: require(&opts, "input")?,
-                params,
-                store: require(&opts, "store")?,
-                work_dir: require(&opts, "work-dir")?,
-                port: get(&opts, "port", 0u16)?,
-                leases,
-                lease_ttl_ms,
-                linger: opts.contains_key("linger"),
-            })
-        }
-        "worker" => {
-            let opts = take_options(rest)?;
-            check_known(
-                &opts,
-                &[
-                    "input",
-                    "coordinator",
-                    "work-dir",
-                    "threads",
-                    "worker-id",
-                    "poll-ms",
-                    "checkpoint-every-secs",
-                ],
-            )?;
-            let poll_ms = get(&opts, "poll-ms", 200u64)?;
-            if poll_ms == 0 {
-                return Err(ParseError("--poll-ms must be at least 1".into()));
-            }
-            let checkpoint_every_secs = get(&opts, "checkpoint-every-secs", 1.0f64)?;
-            if !checkpoint_every_secs.is_finite() || checkpoint_every_secs < 0.0 {
-                return Err(ParseError(
-                    "--checkpoint-every-secs must be a non-negative number".into(),
-                ));
-            }
-            Ok(Command::Worker {
-                input: require(&opts, "input")?,
-                coordinator: require(&opts, "coordinator")?,
-                work_dir: require(&opts, "work-dir")?,
-                threads: get(&opts, "threads", 1usize)?,
-                worker_id: opts.get("worker-id").cloned(),
-                poll_ms,
-                checkpoint_every_secs,
-            })
-        }
-        other => Err(ParseError(format!(
-            "unknown subcommand {other:?}; try `regcluster help`"
-        ))),
+    };
+    if args[1..].iter().any(|arg| arg == "--help") {
+        return Ok(Command::Help);
     }
+    build(&Opts::parse(sub, &args[1..])?)
+}
+
+/// The mining parameters `mine` and `coordinator` share.
+fn mining_params(o: &Opts) -> Parsed<MiningParams> {
+    let gamma = match o.value("gamma-absolute")? {
+        Some(_) if o.has("gamma") => {
+            return err("--gamma and --gamma-absolute are mutually exclusive")
+        }
+        Some(abs) => RegulationThreshold::Absolute(abs),
+        None => RegulationThreshold::FractionOfRange(o.get("gamma")?),
+    };
+    let params = MiningParams {
+        min_genes: o.get("min-genes")?,
+        min_conds: o.get("min-conds")?,
+        gamma,
+        epsilon: o.get("epsilon")?,
+        max_clusters: None,
+        maximal_only: false,
+    };
+    params.validate().map_err(|e| ParseError(e.to_string()))?;
+    Ok(params)
+}
+
+fn mine(o: &Opts) -> Parsed<Command> {
+    let input = o.get("input")?;
+    let engine: String = o.get("engine")?;
+    if !regcluster_engines::ENGINE_NAMES.contains(&engine.as_str()) {
+        return err(format!(
+            "unknown engine {engine:?}; known engines: {}",
+            regcluster_engines::ENGINE_NAMES.join(", ")
+        ));
+    }
+    let delta = o.number("delta", "a positive number", |v| v > 0.0)?;
+    let mut params = mining_params(o)?;
+    params.max_clusters = o.value("max-clusters")?;
+    params.maximal_only = o.has("maximal-only");
+    let impute = o.choice("impute", &["none", "row-mean", "col-mean"])?;
+    let deadline_secs = o.non_negative("deadline-secs")?;
+    let checkpoint_every_secs = o.non_negative("checkpoint-every-secs")?;
+    let checkpoint = o.value("checkpoint")?;
+    let resume = o.value("resume")?;
+    if checkpoint_every_secs.is_some() && checkpoint.is_none() && resume.is_none() {
+        return err("--checkpoint-every-secs needs --checkpoint (or --resume) \
+                    to know where snapshots go");
+    }
+    // Checkpoints snapshot the reg-cluster enumeration frontier; refuse
+    // other engines up front rather than mine without crash safety.
+    if engine != "reg-cluster" && (checkpoint.is_some() || resume.is_some()) {
+        return err(format!(
+            "--checkpoint/--resume are only supported by the reg-cluster \
+             engine, not {engine:?}"
+        ));
+    }
+    let delta_from = o.value("delta-from")?;
+    if delta_from.is_some() {
+        // Per-root reuse leans on the reg-cluster enumeration
+        // tree's root decomposition; no other engine has one.
+        if engine != "reg-cluster" {
+            return err(format!(
+                "--delta-from is only supported by the reg-cluster \
+                 engine, not {engine:?}"
+            ));
+        }
+        if checkpoint.is_some() || resume.is_some() {
+            return err(
+                "--delta-from cannot be combined with --checkpoint/--resume \
+                 (a delta mine is already incremental)",
+            );
+        }
+        // --maximal-only / --max-clusters compose with it: they run as a
+        // post-pass over the unfiltered splice (`mine` checks the
+        // previous store is unfiltered).
+    }
+    Ok(Command::Mine {
+        input,
+        engine,
+        params,
+        delta,
+        threads: o.get("threads")?,
+        deadline_secs,
+        progress: o.has("progress"),
+        output: o.value("output")?,
+        impute: impute.to_string(),
+        stats: o.has("stats"),
+        store: o.value("store")?,
+        metrics: o.value("metrics")?,
+        metrics_json: o.value("metrics-json")?,
+        checkpoint,
+        checkpoint_every_secs,
+        resume,
+        delta_from,
+    })
+}
+
+fn generate(o: &Opts) -> Parsed<Command> {
+    let output = o.get("output")?;
+    let kinds = ["shift-scale", "shift-only", "scale-only", "tendency"];
+    let pattern = match o.choice("pattern", &kinds)? {
+        "shift-only" => PatternKind::ShiftOnly,
+        "scale-only" => PatternKind::ScaleOnly,
+        "tendency" => PatternKind::Tendency,
+        _ => PatternKind::ShiftScale,
+    };
+    let config = SyntheticConfig {
+        n_genes: o.get("genes")?,
+        n_conds: o.get("conds")?,
+        n_clusters: o.get("clusters")?,
+        plant_gamma: o.get("plant-gamma")?,
+        neg_fraction: o.get("neg-fraction")?,
+        cluster_gene_frac: o.get("gene-frac")?,
+        seed: o.get("seed")?,
+        pattern,
+        ..SyntheticConfig::default()
+    };
+    Ok(Command::Generate {
+        output,
+        config,
+        ground_truth: o.value("ground-truth")?,
+    })
+}
+
+fn generate_yeast(o: &Opts) -> Parsed<Command> {
+    Ok(Command::GenerateYeast {
+        output: o.get("output")?,
+        go: o.value("go")?,
+        modules: o.value("modules")?,
+        seed: o.get("seed")?,
+    })
+}
+
+fn enrich(o: &Opts) -> Parsed<Command> {
+    Ok(Command::Enrich {
+        clusters: o.get("clusters")?,
+        go: o.get("go")?,
+        top: o.get("top")?,
+    })
+}
+
+fn eval(o: &Opts) -> Parsed<Command> {
+    Ok(Command::Eval {
+        clusters: o.get("clusters")?,
+        ground_truth: o.get("ground-truth")?,
+    })
+}
+
+fn info(o: &Opts) -> Parsed<Command> {
+    Ok(Command::Info {
+        input: o.get("input")?,
+    })
+}
+
+fn rwave(o: &Opts) -> Parsed<Command> {
+    Ok(Command::RWave {
+        input: o.get("input")?,
+        gene: o.get("gene")?,
+        gamma: o.get("gamma")?,
+    })
+}
+
+fn query(o: &Opts) -> Parsed<Command> {
+    Ok(Command::Query {
+        store: o.get("store")?,
+        genes: o.value("gene")?,
+        conds: o.value("cond")?,
+        min_genes: o.get("min-genes")?,
+        min_conds: o.get("min-conds")?,
+        top: o.value("top")?,
+        json: o.has("json"),
+    })
+}
+
+fn serve(o: &Opts) -> Parsed<Command> {
+    let requests = o.value("requests")?;
+    let queue = o.at_least_1(
+        "queue",
+        " (a zero-capacity accept queue would shed every request)",
+    )?;
+    // Exactly one of --store (a sealed .rcs file) and --watch (a
+    // generations directory to hot-swap from) names what to serve.
+    let (store, watch) = match (o.value("store")?, o.value("watch")?) {
+        (Some(s), None) => (s, false),
+        (None, Some(d)) => (d, true),
+        (Some(_), Some(_)) => {
+            return err("--store and --watch are mutually exclusive (a file vs a \
+                        generations directory)")
+        }
+        (None, None) => return err("serve needs --store <file.rcs> or --watch <dir>"),
+    };
+    let watch_interval_ms = o.at_least_1(
+        "watch-interval-ms",
+        " (a zero interval would spin the watcher thread)",
+    )?;
+    if o.has("watch-interval-ms") && !watch {
+        return err("--watch-interval-ms only applies with --watch <dir>");
+    }
+    Ok(Command::Serve {
+        store,
+        watch,
+        port: o.get("port")?,
+        threads: o.get("threads")?,
+        requests,
+        queue,
+        watch_interval_ms,
+    })
+}
+
+fn coordinator(o: &Opts) -> Parsed<Command> {
+    let params = mining_params(o)?;
+    let leases = o.at_least_1("leases", "")?;
+    let lease_ttl_ms = o.at_least_1("lease-ttl-ms", "")?;
+    Ok(Command::Coordinator {
+        input: o.get("input")?,
+        params,
+        store: o.get("store")?,
+        work_dir: o.get("work-dir")?,
+        port: o.get("port")?,
+        leases,
+        lease_ttl_ms,
+        linger: o.has("linger"),
+    })
+}
+
+fn worker(o: &Opts) -> Parsed<Command> {
+    let poll_ms = o.at_least_1("poll-ms", "")?;
+    // USAGE gives a default, so the value is always present.
+    let checkpoint_every_secs = o.non_negative("checkpoint-every-secs")?.unwrap_or_default();
+    Ok(Command::Worker {
+        input: o.get("input")?,
+        coordinator: o.get("coordinator")?,
+        work_dir: o.get("work-dir")?,
+        threads: o.get("threads")?,
+        worker_id: o.value("worker-id")?,
+        poll_ms,
+        checkpoint_every_secs,
+    })
 }
 
 #[cfg(test)]
@@ -904,11 +804,126 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The subcommand of every `  regcluster <sub>` heading in `USAGE`.
+    fn subcommands() -> Vec<&'static str> {
+        USAGE
+            .lines()
+            .filter_map(|line| line.strip_prefix("  regcluster "))
+            .filter_map(|heading| heading.split_whitespace().next())
+            .collect()
+    }
+
     #[test]
     fn empty_and_help() {
         assert_eq!(parse_args(&[]).unwrap(), Command::Help);
         assert_eq!(parse_args(&sv(&["help"])).unwrap(), Command::Help);
         assert_eq!(parse_args(&sv(&["--help"])).unwrap(), Command::Help);
+        // `--help` after any subcommand prints the usage too, whatever
+        // else is on the line.
+        for sub in subcommands() {
+            assert_eq!(
+                parse_args(&sv(&[sub, "--help"])),
+                Ok(Command::Help),
+                "{sub}"
+            );
+        }
+        assert_eq!(
+            parse_args(&sv(&["mine", "--input", "m.tsv", "--help"])),
+            Ok(Command::Help)
+        );
+    }
+
+    #[test]
+    fn flags_given_a_value_are_rejected() {
+        let cases: [(&str, &[&str]); 3] = [
+            ("mine", &["--input", "m.tsv"]),
+            ("query", &["--store", "s.rcs"]),
+            (
+                "coordinator",
+                &["--input", "m", "--store", "g/", "--work-dir", "w/"],
+            ),
+        ];
+        let mut flags = 0;
+        for (sub, required) in cases {
+            for (name, ..) in section(sub).into_iter().filter(|row| !row.1) {
+                for value in ["false", "no", "true", ""] {
+                    let mut args = vec![sub];
+                    args.extend_from_slice(required);
+                    let flag = format!("--{name}={value}");
+                    args.push(&flag);
+                    assert_eq!(
+                        parse_args(&sv(&args)),
+                        Err(ParseError(format!("option --{name} takes no value"))),
+                        "{args:?}"
+                    );
+                }
+                flags += 1;
+            }
+        }
+        assert_eq!(flags, 5, "maximal-only, stats, progress, json, linger");
+    }
+
+    #[test]
+    fn gamma_and_gamma_absolute_are_mutually_exclusive() {
+        let conflict = ["--gamma", "0.3", "--gamma-absolute", "0.01"];
+        for required in [
+            &["mine", "--input", "m.tsv"][..],
+            &[
+                "coordinator",
+                "--input",
+                "m",
+                "--store",
+                "g/",
+                "--work-dir",
+                "w/",
+            ],
+        ] {
+            let args = [required, &conflict[..]].concat();
+            assert_eq!(
+                parse_args(&sv(&args)),
+                Err(ParseError(
+                    "--gamma and --gamma-absolute are mutually exclusive".into()
+                )),
+                "{args:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_last_option_is_named_as_unknown() {
+        let err = parse_args(&sv(&["mine", "--input", "m", "--bogus"])).unwrap_err();
+        assert_eq!(err.0, "unknown option --bogus");
+    }
+
+    /// The option table guard: within each `USAGE` section an option is
+    /// declared once (a prose line starting with six spaces and `--` would
+    /// declare it again), and the mining options `mine` and `coordinator`
+    /// share are declared alike.
+    #[test]
+    fn usage_sections_declare_each_option_once() {
+        let subs = subcommands();
+        assert_eq!(subs.len(), 12, "{subs:?}");
+        for sub in subs {
+            let mut names: Vec<&str> = section(sub).iter().map(|row| row.0).collect();
+            let declared = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), declared, "{sub} declares an option twice");
+        }
+        let mine = section("mine");
+        for (name, takes_value, default) in section("coordinator") {
+            if let Some(row) = mine.iter().find(|row| row.0 == name) {
+                assert_eq!(*row, (name, takes_value, default), "--{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn generate_defaults_are_the_generator_defaults() {
+        match parse_args(&sv(&["generate", "--output", "m.tsv"])).unwrap() {
+            Command::Generate { config, .. } => assert_eq!(config, SyntheticConfig::default()),
+            other => panic!("wrong command {other:?}"),
+        }
     }
 
     #[test]

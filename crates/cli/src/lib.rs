@@ -2,21 +2,15 @@
 
 //! Implementation of the `regcluster` command-line tool.
 //!
-//! Subcommands:
-//!
-//! * `mine` — mine reg-clusters from a tab-delimited expression matrix
-//!   (optionally streaming them into an indexed `.rcs` store);
-//! * `generate` — write a synthetic dataset (and its ground truth);
-//! * `eval` — score mined clusters against a ground-truth file;
-//! * `info` — print matrix statistics;
-//! * `query` — filter a `.rcs` cluster store offline;
-//! * `serve` — expose a `.rcs` store over HTTP (see [`serve`]).
+//! [`args::USAGE`] lists every subcommand and option; it is both the text
+//! `regcluster help` prints and the table the parser reads option names,
+//! value-taking and defaults from.
 //!
 //! The argument parser is hand-rolled (the workspace's dependency policy
 //! favours a small, auditable surface over pulling in a CLI framework); it
-//! supports `--flag value` and `--flag=value` forms and produces precise
-//! error messages. All logic lives in this library so it is unit-testable;
-//! the binary is a thin wrapper.
+//! supports `--option value` and `--option=value` forms and produces
+//! precise error messages. All logic lives in this library so it is
+//! unit-testable; the binary is a thin wrapper.
 
 pub mod args;
 pub mod commands;

@@ -3,6 +3,9 @@
 //! label must be documented in `docs/OBSERVABILITY.md`. Mirrors the
 //! USAGE-drift test in `args.rs` — add a metric, grow the doc.
 
+use std::collections::HashMap;
+
+use regcluster_cli::args::USAGE;
 use regcluster_cli::serve::ServeMetrics;
 use regcluster_core::observer::PruneRule;
 use regcluster_core::MetricsObserver;
@@ -271,4 +274,92 @@ fn every_failpoint_site_is_documented_in_robustness_md() {
         doc.contains(regcluster_failpoint::ENV_VAR),
         "ROBUSTNESS.md must document the FAILPOINTS env var"
     );
+}
+
+/// The options `USAGE` declares under each `  regcluster <sub>` heading:
+/// its lines of six spaces and `--name`.
+fn declared_options() -> HashMap<&'static str, Vec<&'static str>> {
+    let mut table: HashMap<&str, Vec<&str>> = HashMap::new();
+    let mut sub = "";
+    for line in USAGE.lines() {
+        if let Some(heading) = line.strip_prefix("  regcluster ") {
+            sub = heading.split_whitespace().next().unwrap_or_default();
+            table.entry(sub).or_default();
+        } else if let Some(decl) = line.strip_prefix("      --") {
+            let name = decl.split(' ').next().unwrap_or_default();
+            table.entry(sub).or_default().push(name);
+        }
+    }
+    table
+}
+
+#[test]
+fn every_documented_invocation_uses_declared_options() {
+    // A `regcluster <sub> … --opt` invocation in the docs must name an
+    // option `USAGE` declares for `<sub>`: renaming or dropping an option
+    // without mending its examples is drift.
+    let table = declared_options();
+    let mut pages: Vec<String> = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        .map(String::from)
+        .to_vec();
+    let docs_dir = format!("{}/../../docs", env!("CARGO_MANIFEST_DIR"));
+    for entry in std::fs::read_dir(docs_dir).expect("docs/ must exist") {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if name.ends_with(".md") {
+            pages.push(format!("docs/{name}"));
+        }
+    }
+    let mut checked = 0;
+    for page in &pages {
+        // Join shell `\` continuations so a wrapped invocation is one line.
+        let text = repo_doc(page).replace("\\\n", " ");
+        for line in text.lines() {
+            for (at, _) in line.match_indices("regcluster ") {
+                let rest = &line[at + "regcluster ".len()..];
+                // `cargo run … --bin regcluster -- <sub>` puts `--` first.
+                let rest = rest.strip_prefix("-- ").unwrap_or(rest).trim_start();
+                let sub = rest.split([' ', '`']).next().unwrap_or_default();
+                let Some(declared) = table.get(sub) else {
+                    continue; // prose, not an invocation
+                };
+                // The invocation ends at its code span or shell operator.
+                let args = rest[sub.len()..].split(['`', '|', '&', ';', '#']).next();
+                for token in args.unwrap_or_default().split_whitespace() {
+                    let Some(opt) = token.strip_prefix("--") else {
+                        continue;
+                    };
+                    let name: String = opt
+                        .chars()
+                        .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '-')
+                        .collect();
+                    assert!(
+                        declared.contains(&name.as_str()),
+                        "{page}: `regcluster {sub}` declares no --{name} in USAGE: {line}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        checked >= 40,
+        "only {checked} documented options found in {pages:?}"
+    );
+}
+
+#[test]
+fn usage_lists_every_engine() {
+    // `mine --engine`'s help lists the engines by hand; it must name the
+    // registry's, no more and no fewer.
+    let help = USAGE
+        .split_once("      --engine <NAME>")
+        .and_then(|(_, rest)| rest.split_once(':'))
+        .and_then(|(_, rest)| rest.split_once("\n      --"))
+        .expect("mine declares --engine with a `:`-introduced list")
+        .0;
+    let mut listed: Vec<&str> = help.split('|').map(str::trim).collect();
+    let mut registry = regcluster_engines::ENGINE_NAMES.to_vec();
+    listed.sort_unstable();
+    registry.sort_unstable();
+    assert_eq!(listed, registry);
 }

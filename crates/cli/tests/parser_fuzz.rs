@@ -70,12 +70,13 @@ proptest! {
     }
 
     /// Unknown option names are always rejected, never silently accepted.
+    /// The exclusions are exactly `mine`'s one-word options plus `help`.
     #[test]
     fn unknown_options_are_rejected(name in "[a-z]{3,10}") {
         prop_assume!(![
-            "input", "output", "gamma", "epsilon", "threads", "impute", "stats",
-            "genes", "conds", "clusters", "pattern", "seed", "go", "modules",
-            "top", "gene", "algorithm", "delta", "help", "progress",
+            "input", "engine", "delta", "gamma", "epsilon", "threads", "impute",
+            "stats", "progress", "output", "store", "metrics", "checkpoint",
+            "resume", "help",
         ]
         .contains(&name.as_str()));
         let args: Vec<String> =

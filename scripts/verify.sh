@@ -64,6 +64,10 @@ echo "==> generations hot-swap (publish under 32 concurrent clients, zero failed
 cargo test -q -p regcluster-cli --test serve_smoke -- watcher_hot_swaps
 cargo test -q -p regcluster-store --test torn_write -- torn_publish
 
+echo "==> CLI surface (option table, parser fuzz, docs drift)"
+cargo test --release -p regcluster-cli --lib args
+cargo test --release -p regcluster-cli --test parser_fuzz --test docs_drift
+
 echo "==> engine matrix (every engine mines, stores, queries, exports metrics)"
 cargo test -q -p regcluster-cli --test engines_matrix
 
