@@ -348,6 +348,33 @@ fn every_documented_invocation_uses_declared_options() {
 }
 
 #[test]
+fn every_declared_option_is_in_the_guide() {
+    // An option added to `USAGE` without a word in the user guide is
+    // drift: each `--name` must appear in GUIDE.md as a whole option
+    // (`--gene` is not found inside `--genes`).
+    let guide = repo_doc("docs/GUIDE.md");
+    let in_guide = |name: &str| {
+        let needle = format!("--{name}");
+        guide.match_indices(&needle).any(|(at, _)| {
+            let next = guide[at + needle.len()..].chars().next();
+            !next.is_some_and(|c| c.is_ascii_alphanumeric() || c == '-')
+        })
+    };
+    let mut missing: Vec<&str> = declared_options()
+        .into_values()
+        .flatten()
+        .filter(|name| !in_guide(name))
+        .collect();
+    missing.sort_unstable();
+    missing.dedup();
+    assert!(
+        missing.is_empty(),
+        "docs/GUIDE.md never mentions: --{}",
+        missing.join(", --")
+    );
+}
+
+#[test]
 fn usage_lists_every_engine() {
     // `mine --engine`'s help lists the engines by hand; it must name the
     // registry's, no more and no fewer.

@@ -34,9 +34,8 @@
 //!   necessarily carry the same member state and therefore root *identical
 //!   subtrees* — whichever twin wins the race, the set of emitted clusters
 //!   and the multiset of observer events are invariant (see DESIGN.md §7.6);
-//! * the cap is applied by the internal `finalize` step to the
-//!   canonically-sorted full
-//!   result, making capped output a function of the cluster set alone.
+//! * the cap is applied by [`finalize_clusters`] to the canonically-sorted
+//!   full result, making capped output a function of the cluster set alone.
 //!
 //! Delivery *order* into a sink is nondeterministic across workers; only the
 //! final collected set is deterministic. Runs that stop early — through
@@ -78,7 +77,7 @@ use crate::checkpoint::{
     PendingNode,
 };
 use crate::intern::{ClusterView, EmittedSet};
-use crate::miner::{finalize, Dir, EmitOutcome, Member, Miner};
+use crate::miner::{finalize_clusters, Dir, EmitOutcome, Member, Miner};
 use crate::observer::{MineObserver, MiningStats, NoopObserver, PruneRule, SyncMineObserver};
 use crate::scratch::{ChildBuf, NodeScratch};
 use crate::{CoreError, RegCluster};
@@ -495,7 +494,7 @@ impl<'a, 'm> MineRequest<'a, 'm> {
         let sink = VecSink::new();
         let (report, ck_report) = self.run(&sink)?;
         let mut clusters = sink.into_clusters();
-        finalize(&mut clusters, params);
+        finalize_clusters(&mut clusters, params);
         Ok((
             MineReport {
                 clusters,

@@ -553,12 +553,19 @@ fn merge_sorted_into(a: &[GeneId], b: &[GeneId], out: &mut Vec<GeneId>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Canonical ordering + optional maximal-only post-filter + `max_clusters`
-/// truncation of the collect path. Because the cap is applied to the
-/// canonically-sorted full result, capped output is a deterministic function
-/// of the cluster *set* — which is why runs at every thread count agree
-/// bit-for-bit even under `max_clusters`.
-pub(crate) fn finalize(out: &mut Vec<RegCluster>, params: &MiningParams) {
+/// Canonicalizes a raw emission set the way the collect path does:
+/// `maximal_only` post-filter, canonical sort (chain, then members), then the
+/// `max_clusters` truncation. Sink-mode consumers ([`MineRequest::run`]
+/// delivers clusters unfinalized, in nondeterministic order) call this to
+/// obtain output bit-identical to [`mine`] / [`MineRequest::collect`] for a
+/// complete run. Because the cap is applied to the canonically-sorted full
+/// result, capped output is a deterministic function of the cluster *set* —
+/// which is why runs at every thread count agree bit-for-bit even under
+/// `max_clusters`.
+///
+/// [`MineRequest::run`]: crate::engine::MineRequest::run
+/// [`MineRequest::collect`]: crate::engine::MineRequest::collect
+pub fn finalize_clusters(out: &mut Vec<RegCluster>, params: &MiningParams) {
     if params.maximal_only {
         let snapshot = out.clone();
         out.retain(|c| {
@@ -579,19 +586,6 @@ pub(crate) fn finalize(out: &mut Vec<RegCluster>, params: &MiningParams) {
     if let Some(cap) = params.max_clusters {
         out.truncate(cap);
     }
-}
-
-/// Canonicalizes a raw emission set the way the collect path does:
-/// `maximal_only` post-filter, canonical sort (chain, then members), then the
-/// `max_clusters` truncation. Sink-mode consumers ([`MineRequest::run`]
-/// delivers clusters unfinalized, in nondeterministic order) call this to
-/// obtain output bit-identical to [`mine`] / [`MineRequest::collect`] for a
-/// complete run.
-///
-/// [`MineRequest::run`]: crate::engine::MineRequest::run
-/// [`MineRequest::collect`]: crate::engine::MineRequest::collect
-pub fn finalize_clusters(clusters: &mut Vec<RegCluster>, params: &MiningParams) {
-    finalize(clusters, params);
 }
 
 /// Mines all reg-clusters of `matrix` under `params`: a one-thread

@@ -1,16 +1,12 @@
 //! The `.rck` on-disk checkpoint: a crash-safe snapshot of an interrupted
-//! mining run, reusing the `.rcs` section machinery (32-byte header,
-//! FNV-checksummed section table, bounds-checked little-endian decoding)
-//! under its own magic and section ids.
+//! mining run in the `.rcs` section container, under its own magic and
+//! section ids. The header, the section table and the cluster record are
+//! coded once, in the `format` module.
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ header (32 B)                                              │
-//! │   0..8   magic  b"RCKPOINT"                                │
-//! │   8..12  checkpoint version (u32 LE)                       │
-//! │  12..16  section count  (u32 LE)                           │
-//! │  16..24  section-table offset (u64 LE)                     │
-//! │  24..32  section-table checksum (FNV-1a 64, u64 LE)        │
+//! │ header (32 B): the `.rcs` header (`format.rs`) with magic  │
+//! │   b"RCKPOINT" and the checkpoint version                   │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ META     n_genes, n_conds, matrix_fingerprint (u64 each),  │
 //! │          then mining-params JSON                           │
@@ -19,10 +15,10 @@
 //! │            chain ids u32 LE each, then per member           │
 //! │            gene u32, flags u32 (bit 0 = forward),          │
 //! │            denom_bits u64                                  │
-//! │ EMITTED  count u64, then packed cluster records exactly as │
-//! │          the `.rcs` CLUSTERS section encodes them          │
+//! │ EMITTED  count u64, then packed cluster records in the     │
+//! │          `.rcs` record layout (`format.rs`)                │
 //! ├────────────────────────────────────────────────────────────┤
-//! │ section table: count × 32 B (same entry layout as `.rcs`)  │
+//! │ section table: count × 32 B, as in `.rcs` (`format.rs`)    │
 //! └────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -40,8 +36,11 @@ use std::path::{Path, PathBuf};
 use regcluster_core::{CheckpointSink, EngineCheckpoint, MiningParams, PendingMember, PendingNode};
 
 use crate::error::StoreError;
-use crate::format::{put_u32, put_u64, ByteReader, Fnv64, HEADER_LEN, SECTION_ENTRY_LEN};
-use crate::writer::{decode_record, write_durably};
+use crate::format::{
+    decode_record, encode_record, put_u32, put_u64, record_at, verify_sections, ByteReader,
+    FileKind, SectionTable, HEADER_LEN,
+};
+use crate::writer::write_durably;
 
 /// File magic, first 8 bytes of every checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RCKPOINT";
@@ -49,10 +48,26 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RCKPOINT";
 /// The checkpoint format version this build writes and reads.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
+/// The `.rck` checkpoint: the `.rcs` header under its own magic.
+const CHECKPOINT: FileKind = FileKind {
+    magic: CHECKPOINT_MAGIC,
+    version: CHECKPOINT_VERSION,
+    min_version: CHECKPOINT_VERSION,
+    header_len: HEADER_LEN,
+    name: ".rck checkpoint",
+};
+
 /// Section ids of the `.rck` layout (distinct from the `.rcs` ids).
 const META: u32 = 1;
 const PENDING: u32 = 2;
 const EMITTED: u32 = 3;
+
+/// Names of sections `META`, `PENDING` and `EMITTED` in checksum errors.
+const SECTION_NAMES: [&str; 3] = [
+    "checkpoint meta",
+    "checkpoint pending",
+    "checkpoint emitted",
+];
 
 /// A checkpoint sink that persists every engine snapshot atomically to one
 /// `.rck` path.
@@ -125,38 +140,17 @@ fn encode_checkpoint(ck: &EngineCheckpoint) -> Result<Vec<u8>, StoreError> {
     let mut emitted = Vec::new();
     put_u64(&mut emitted, ck.emitted.len() as u64);
     for c in &ck.emitted {
-        put_u32(&mut emitted, c.chain.len() as u32);
-        put_u32(&mut emitted, c.p_members.len() as u32);
-        put_u32(&mut emitted, c.n_members.len() as u32);
-        for ids in [&c.chain, &c.p_members, &c.n_members] {
-            for &v in ids.iter() {
-                put_u32(&mut emitted, v as u32);
-            }
-        }
+        encode_record(c, &mut emitted);
     }
 
-    let sections: [(u32, &[u8]); 3] = [(META, &meta), (PENDING, &pending), (EMITTED, &emitted)];
+    let mut table = SectionTable::new();
     let mut out = vec![0u8; HEADER_LEN];
-    let mut table = Vec::with_capacity(sections.len() * SECTION_ENTRY_LEN);
-    for (id, payload) in sections {
-        put_u32(&mut table, id);
-        put_u32(&mut table, 0);
-        put_u64(&mut table, out.len() as u64);
-        put_u64(&mut table, payload.len() as u64);
-        put_u64(&mut table, Fnv64::hash(payload));
+    for (id, payload) in [(META, &meta), (PENDING, &pending), (EMITTED, &emitted)] {
+        table.add(id, payload);
         out.extend_from_slice(payload);
     }
-    let table_offset = out.len() as u64;
-    let table_checksum = Fnv64::hash(&table);
-    out.extend_from_slice(&table);
-
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(&CHECKPOINT_MAGIC);
-    put_u32(&mut header, CHECKPOINT_VERSION);
-    put_u32(&mut header, sections.len() as u32);
-    put_u64(&mut header, table_offset);
-    put_u64(&mut header, table_checksum);
-    debug_assert_eq!(header.len(), HEADER_LEN);
+    let (header, table) = table.seal(&CHECKPOINT);
+    out.extend_from_slice(table);
     out[..HEADER_LEN].copy_from_slice(&header);
     Ok(out)
 }
@@ -176,93 +170,9 @@ fn encode_checkpoint(ck: &EngineCheckpoint) -> Result<Vec<u8>, StoreError> {
 /// * [`StoreError::Metadata`] — parameter provenance unreadable.
 pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<EngineCheckpoint, StoreError> {
     let buf = std::fs::read(path.as_ref())?;
-    if buf.len() < HEADER_LEN {
-        return Err(StoreError::Format(format!(
-            "checkpoint header: file is {} bytes, need at least {HEADER_LEN}",
-            buf.len()
-        )));
-    }
-    if buf[..8] != CHECKPOINT_MAGIC {
-        return Err(StoreError::Format(
-            "not a regcluster checkpoint (bad magic)".into(),
-        ));
-    }
-    let mut h = ByteReader::new(&buf[8..HEADER_LEN], "checkpoint header");
-    let version = h.u32()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(StoreError::Version {
-            found: version,
-            supported: CHECKPOINT_VERSION,
-        });
-    }
-    let n_sections = h.u32()? as usize;
-    let table_offset = h.u64()? as usize;
-    let table_len = n_sections
-        .checked_mul(SECTION_ENTRY_LEN)
-        .ok_or_else(|| StoreError::Format("checkpoint header: section count overflow".into()))?;
-    let table_checksum = h.u64()?;
-    let table_end = table_offset
-        .checked_add(table_len)
-        .filter(|&end| end <= buf.len())
-        .ok_or_else(|| {
-            StoreError::Format("checkpoint header: section table past end of file".into())
-        })?;
-    let table = &buf[table_offset..table_end];
-    let actual = Fnv64::hash(table);
-    if actual != table_checksum {
-        return Err(StoreError::ChecksumMismatch {
-            section: "checkpoint section table",
-            expected: table_checksum,
-            actual,
-        });
-    }
-
-    let mut meta = None;
-    let mut pending = None;
-    let mut emitted = None;
-    let mut t = ByteReader::new(table, "checkpoint section table");
-    for _ in 0..n_sections {
-        let id = t.u32()?;
-        let _reserved = t.u32()?;
-        let offset = t.u64()? as usize;
-        let len = t.u64()? as usize;
-        let checksum = t.u64()?;
-        let end = offset
-            .checked_add(len)
-            .filter(|&end| end <= buf.len())
-            .ok_or_else(|| {
-                StoreError::Format(format!("checkpoint section {id} past end of file"))
-            })?;
-        let payload = &buf[offset..end];
-        let actual = Fnv64::hash(payload);
-        if actual != checksum {
-            return Err(StoreError::ChecksumMismatch {
-                section: match id {
-                    META => "checkpoint meta",
-                    PENDING => "checkpoint pending",
-                    EMITTED => "checkpoint emitted",
-                    _ => "checkpoint section",
-                },
-                expected: checksum,
-                actual,
-            });
-        }
-        match id {
-            META => meta = Some(payload),
-            PENDING => pending = Some(payload),
-            EMITTED => emitted = Some(payload),
-            other => {
-                return Err(StoreError::Format(format!(
-                    "checkpoint section table: unknown section id {other}"
-                )))
-            }
-        }
-    }
-    let meta = meta.ok_or_else(|| StoreError::Format("checkpoint: missing meta section".into()))?;
-    let pending =
-        pending.ok_or_else(|| StoreError::Format("checkpoint: missing pending section".into()))?;
-    let emitted =
-        emitted.ok_or_else(|| StoreError::Format("checkpoint: missing emitted section".into()))?;
+    let (_, header) = CHECKPOINT.check_preamble(&buf)?;
+    let sections = verify_sections(&buf, header, "checkpoint section table", SECTION_NAMES)?;
+    let [meta, pending, emitted] = sections.map(|range| &buf[range]);
 
     let mut m = ByteReader::new(meta, "checkpoint meta");
     let n_genes = m.u64()? as usize;
@@ -308,16 +218,16 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<EngineCheckpoint, Store
     let n_emitted = e.u64()? as usize;
     let records = e.bytes(e.remaining())?;
     let mut emitted_clusters = Vec::with_capacity(n_emitted.min(1 << 16));
-    let mut off = 0u64;
+    let mut off = 0;
     for _ in 0..n_emitted {
-        let (cluster, used) = decode_record(records, off)?;
-        emitted_clusters.push(cluster);
-        off += used as u64;
+        let record = record_at(records, off)?;
+        emitted_clusters.push(decode_record(record));
+        off += record.len();
     }
-    if off != records.len() as u64 {
+    if off != records.len() {
         return Err(StoreError::Format(format!(
             "checkpoint emitted: {} trailing bytes after last record",
-            records.len() as u64 - off
+            records.len() - off
         )));
     }
 

@@ -1,5 +1,8 @@
-//! The `.rcs` on-disk layout: header, section table, checksums, and the
-//! bounds-checked little-endian readers shared by the writer and reader.
+//! The byte layout of the store's files, decided once: the preamble every
+//! file starts with, the checksummed section container of `.rcs` stores and
+//! `.rck` checkpoints, the packed cluster record, and the bounds-checked
+//! little-endian readers and writers everything is coded with. The `.rcs`
+//! layout:
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
@@ -35,6 +38,19 @@
 //! the file is therefore caught at [`open`](crate::ClusterStore::open)
 //! before any query runs, and a truncated file fails the structural bounds
 //! checks. All multi-byte integers are little-endian regardless of host.
+//!
+//! A `.rck` checkpoint is the same container (header, sections, table)
+//! under its own magic and section ids, and its EMITTED section holds
+//! records in the CLUSTERS encoding. The `.rcj` journal starts with the
+//! same preamble (magic, then version). Each decision has one function
+//! here: [`FileKind::check_preamble`] for the preamble, [`SectionTable`]
+//! and [`verify_sections`] for the container, and [`encode_record`],
+//! [`record_len`], [`validate_record`], [`record_at`] and
+//! [`decode_record`] for the record.
+
+use std::ops::Range;
+
+use regcluster_core::RegCluster;
 
 use crate::error::StoreError;
 
@@ -57,7 +73,69 @@ pub const HEADER_LEN: usize = 32;
 /// Length of one section-table entry in bytes.
 pub const SECTION_ENTRY_LEN: usize = 32;
 
-/// Section identifiers (the `id` field of a table entry).
+/// What one kind of store file starts with: its 8-byte magic, then a
+/// `u32` version (little-endian), inside a fixed-length header.
+pub(crate) struct FileKind {
+    /// First 8 bytes of every file of this kind.
+    pub magic: [u8; 8],
+    /// The version this build writes.
+    pub version: u32,
+    /// The oldest version this build reads.
+    pub min_version: u32,
+    /// Fixed header length in bytes, preamble included.
+    pub header_len: usize,
+    /// What the file is called in error messages.
+    pub name: &'static str,
+}
+
+/// The `.rcs` store.
+pub(crate) const STORE: FileKind = FileKind {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+    min_version: MIN_SUPPORTED_VERSION,
+    header_len: HEADER_LEN,
+    name: ".rcs store",
+};
+
+impl FileKind {
+    /// Checks `buf`'s preamble: long enough for the header, this kind's
+    /// magic, a version this build reads. Returns the version and a reader
+    /// over the rest of the header.
+    pub fn check_preamble<'a>(&self, buf: &'a [u8]) -> Result<(u32, ByteReader<'a>), StoreError> {
+        if buf.len() < self.header_len {
+            return Err(StoreError::Format(format!(
+                "{} header: file is {} bytes, need at least {}",
+                self.name,
+                buf.len(),
+                self.header_len
+            )));
+        }
+        if buf[..8] != self.magic {
+            return Err(StoreError::Format(format!(
+                "bad magic (not a {}, or an unsealed one)",
+                self.name
+            )));
+        }
+        let mut header = ByteReader::new(&buf[8..self.header_len], "header");
+        let version = header.u32()?;
+        if !(self.min_version..=self.version).contains(&version) {
+            return Err(StoreError::Version {
+                found: version,
+                supported: self.version,
+            });
+        }
+        Ok((version, header))
+    }
+
+    /// Appends the preamble: the magic, then the version this build writes.
+    pub fn put_preamble(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.magic);
+        put_u32(out, self.version);
+    }
+}
+
+/// Section identifiers of the `.rcs` store (the `id` field of a table
+/// entry), running from 1. A well-formed store holds every section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum SectionId {
@@ -80,49 +158,232 @@ pub enum SectionId {
 }
 
 impl SectionId {
-    /// All sections a well-formed store must contain.
-    pub const ALL: [SectionId; 8] = [
-        SectionId::Clusters,
-        SectionId::Offsets,
-        SectionId::Sizes,
-        SectionId::GeneIndex,
-        SectionId::CondIndex,
-        SectionId::Meta,
-        SectionId::GeneDict,
-        SectionId::CondDict,
+    /// Section names in error messages, in id order (id 1 first).
+    pub const NAMES: [&'static str; 8] = [
+        "clusters",
+        "offsets",
+        "sizes",
+        "gene-index",
+        "cond-index",
+        "meta",
+        "gene-dict",
+        "cond-dict",
     ];
+}
 
-    /// Human-readable name used in error messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            SectionId::Clusters => "clusters",
-            SectionId::Offsets => "offsets",
-            SectionId::Sizes => "sizes",
-            SectionId::GeneIndex => "gene-index",
-            SectionId::CondIndex => "cond-index",
-            SectionId::Meta => "meta",
-            SectionId::GeneDict => "gene-dict",
-            SectionId::CondDict => "cond-dict",
+/// Builds the section table and header of a sectioned file. Sections are
+/// laid out back to back from the end of the header, in the order they
+/// are added; the table follows the last one.
+pub(crate) struct SectionTable {
+    table: Vec<u8>,
+    count: u32,
+    /// Where the next section starts.
+    end: u64,
+}
+
+impl SectionTable {
+    /// An empty table whose first section starts right after the header.
+    pub fn new() -> Self {
+        SectionTable {
+            table: Vec::new(),
+            count: 0,
+            end: HEADER_LEN as u64,
         }
     }
 
-    /// Parses a table-entry id.
-    pub fn from_u32(v: u32) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| *s as u32 == v)
+    /// Records the next section: its id, place, length and checksum.
+    pub fn add(&mut self, id: u32, payload: &[u8]) {
+        put_u32(&mut self.table, id);
+        put_u32(&mut self.table, 0);
+        put_u64(&mut self.table, self.end);
+        put_u64(&mut self.table, payload.len() as u64);
+        put_u64(&mut self.table, Fnv64::hash(payload));
+        self.count += 1;
+        self.end += payload.len() as u64;
+    }
+
+    /// The header that points at the table, and the table bytes, which go
+    /// right after the last section.
+    pub fn seal(&self, kind: &FileKind) -> (Vec<u8>, &[u8]) {
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        kind.put_preamble(&mut header);
+        put_u32(&mut header, self.count);
+        put_u64(&mut header, self.end);
+        put_u64(&mut header, Fnv64::hash(&self.table));
+        debug_assert_eq!(header.len(), HEADER_LEN);
+        (header, &self.table)
+    }
+
+    /// Length of the sealed file: header, sections and table.
+    pub fn file_len(&self) -> u64 {
+        self.end + self.table.len() as u64
     }
 }
 
-/// One parsed section-table entry.
-#[derive(Debug, Clone, Copy)]
-pub struct Section {
-    /// Which section this is.
-    pub id: SectionId,
-    /// Absolute byte offset of the payload.
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u64,
-    /// FNV-1a 64 checksum of the payload.
-    pub checksum: u64,
+/// Verifies the section container of `buf`, whose preamble `header` has
+/// already been read by [`FileKind::check_preamble`]: the table lies in
+/// the file past the header and matches its checksum; every entry has a
+/// known id (1 to `N`), appears once, lies past the header and within the
+/// file, and matches its checksum. Returns each section's payload range,
+/// section id `i + 1` at index `i`. `names` names the sections and
+/// `table_name` the table in [`StoreError::ChecksumMismatch`].
+pub(crate) fn verify_sections<const N: usize>(
+    buf: &[u8],
+    mut header: ByteReader<'_>,
+    table_name: &'static str,
+    names: [&'static str; N],
+) -> Result<[Range<usize>; N], StoreError> {
+    let count = header.u32()?;
+    let table_offset = header.u64()?;
+    let table_checksum = header.u64()?;
+    let table_len = u64::from(count) * SECTION_ENTRY_LEN as u64;
+    let table = &buf[payload_range(buf, "table", table_offset, table_len)?];
+    let actual = Fnv64::hash(table);
+    if actual != table_checksum {
+        return Err(StoreError::ChecksumMismatch {
+            section: table_name,
+            expected: table_checksum,
+            actual,
+        });
+    }
+
+    let mut found: [Option<Range<usize>>; N] = std::array::from_fn(|_| None);
+    let mut r = ByteReader::new(table, "section table");
+    for _ in 0..count {
+        let id = r.u32()?;
+        let _reserved = r.u32()?;
+        let (offset, len, checksum) = (r.u64()?, r.u64()?, r.u64()?);
+        let Some(slot) = (id as usize).checked_sub(1).and_then(|i| found.get_mut(i)) else {
+            return Err(StoreError::Format(format!("unknown section id {id}")));
+        };
+        let name = names[id as usize - 1];
+        let range = payload_range(buf, name, offset, len)?;
+        if slot.is_some() {
+            return Err(StoreError::Format(format!("duplicate section {name}")));
+        }
+        let actual = Fnv64::hash(&buf[range.clone()]);
+        if actual != checksum {
+            return Err(StoreError::ChecksumMismatch {
+                section: name,
+                expected: checksum,
+                actual,
+            });
+        }
+        *slot = Some(range);
+    }
+    if let Some(i) = found.iter().position(Option::is_none) {
+        return Err(StoreError::Format(format!("missing section {}", names[i])));
+    }
+    Ok(found.map(Option::unwrap_or_default))
+}
+
+/// `[offset, offset + len)` as a range of `buf`, provided it lies past the
+/// header and within the file.
+fn payload_range(
+    buf: &[u8],
+    name: &str,
+    offset: u64,
+    len: u64,
+) -> Result<Range<usize>, StoreError> {
+    match offset.checked_add(len) {
+        Some(end) if end <= buf.len() as u64 && offset >= HEADER_LEN as u64 => {
+            Ok(offset as usize..end as usize)
+        }
+        _ => Err(StoreError::Format(format!(
+            "section {name} [{offset}, +{len}) out of file bounds ({})",
+            buf.len()
+        ))),
+    }
+}
+
+/// Byte length of a packed record with `chain`, `p` and `n` ids: the three
+/// `u32` counts, then one `u32` per id.
+pub(crate) fn record_len(chain: usize, p: usize, n: usize) -> usize {
+    12 + 4 * (chain + p + n)
+}
+
+/// Appends `cluster` as one packed record. An id past `u32` is written as
+/// `u32::MAX`, which no dictionary holds, so [`validate_record`] refuses it.
+pub(crate) fn encode_record(cluster: &RegCluster, out: &mut Vec<u8>) {
+    let lists = [&cluster.chain, &cluster.p_members, &cluster.n_members];
+    for ids in lists {
+        put_u32(out, ids.len() as u32);
+    }
+    for &id in lists.into_iter().flatten() {
+        put_u32(out, u32::try_from(id).unwrap_or(u32::MAX));
+    }
+}
+
+/// Checks that `record` is exactly one well-formed record: its counts
+/// match its length, its chain is not empty, and every id lies within
+/// dictionaries of `n_genes` genes and `n_conds` conditions.
+pub(crate) fn validate_record(
+    record: &[u8],
+    n_genes: usize,
+    n_conds: usize,
+) -> Result<(), StoreError> {
+    let counts = record_at(record, 0)?;
+    if counts.len() != record.len() {
+        return Err(StoreError::Format(format!(
+            "record declares {} bytes but holds {}",
+            counts.len(),
+            record.len()
+        )));
+    }
+    let chain = u32_at(record, 0) as usize;
+    if chain == 0 {
+        return Err(StoreError::Format("record has an empty chain".into()));
+    }
+    let members = u32_at(record, 1) as usize + u32_at(record, 2) as usize;
+    for i in 0..chain + members {
+        let (bound, what) = if i < chain {
+            (n_conds, "condition")
+        } else {
+            (n_genes, "gene")
+        };
+        let id = u32_at(record, 3 + i) as usize;
+        if id >= bound {
+            return Err(StoreError::IdOutOfRange(format!(
+                "{what} id {id} not in dictionary (size {bound})"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The record starting at byte `off` of a records section, bounds-checked
+/// against the length its counts declare.
+pub(crate) fn record_at(records: &[u8], off: usize) -> Result<&[u8], StoreError> {
+    let rest = records.get(off..).unwrap_or_default();
+    let len = match rest.len() {
+        n if n >= 12 => record_len(
+            u32_at(rest, 0) as usize,
+            u32_at(rest, 1) as usize,
+            u32_at(rest, 2) as usize,
+        ),
+        _ => 12,
+    };
+    rest.get(..len).ok_or_else(|| {
+        StoreError::Format(format!(
+            "cluster record [{off}, +{len}) past the end of its section ({} bytes)",
+            records.len()
+        ))
+    })
+}
+
+/// Decodes one record as returned by [`record_at`].
+pub(crate) fn decode_record(record: &[u8]) -> RegCluster {
+    let ids = |from: usize, n: usize| -> Vec<usize> {
+        (from..from + n)
+            .map(|i| u32_at(record, i) as usize)
+            .collect()
+    };
+    let (chain, p) = (u32_at(record, 0) as usize, u32_at(record, 1) as usize);
+    RegCluster {
+        chain: ids(3, chain),
+        p_members: ids(3 + chain, p),
+        n_members: ids(3 + chain + p, u32_at(record, 2) as usize),
+    }
 }
 
 /// Incremental FNV-1a 64 checksum. Not cryptographic — it guards against
@@ -190,7 +451,8 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+    /// Reads `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if self.remaining() < n {
             return Err(StoreError::Format(format!(
                 "{}: truncated ({} bytes needed at offset {}, {} available)",
@@ -207,23 +469,18 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a `u32` (little-endian).
     pub fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     /// Reads a `u64` (little-endian).
     pub fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        self.take(n)
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Reads a length-prefixed UTF-8 string (u32 length).
     pub fn string(&mut self) -> Result<String, StoreError> {
         let len = self.u32()? as usize;
-        let raw = self.take(len)?;
+        let raw = self.bytes(len)?;
         String::from_utf8(raw.to_vec()).map_err(|_| {
             StoreError::Format(format!(
                 "{}: dictionary entry is not valid UTF-8",
@@ -254,6 +511,13 @@ pub fn put_u32(out: &mut Vec<u8>, v: u32) {
 /// Appends a `u64` little-endian.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a length-prefixed UTF-8 string (u32 length), as
+/// [`ByteReader::string`] reads it.
+pub fn put_string(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
 }
 
 #[cfg(test)]
@@ -299,10 +563,9 @@ mod tests {
 
     #[test]
     fn section_ids_roundtrip() {
-        for id in SectionId::ALL {
-            assert_eq!(SectionId::from_u32(id as u32), Some(id));
-            assert!(!id.name().is_empty());
-        }
-        assert_eq!(SectionId::from_u32(999), None);
+        // `verify_sections` returns section id `i + 1` at index `i`.
+        assert_eq!(SectionId::CondDict as usize, SectionId::NAMES.len());
+        assert_eq!(SectionId::NAMES[SectionId::Meta as usize - 1], "meta");
+        assert!(SectionId::NAMES.iter().all(|n| !n.is_empty()));
     }
 }

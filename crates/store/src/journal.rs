@@ -48,7 +48,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
-use crate::format::{put_u32, put_u64, ByteReader, Fnv64};
+use crate::format::{put_string, put_u32, put_u64, ByteReader, FileKind, Fnv64};
 use crate::writer::write_durably;
 
 /// File magic, first 8 bytes of every journal.
@@ -59,6 +59,15 @@ pub const JOURNAL_VERSION: u32 = 1;
 
 /// Fixed header length in bytes.
 pub const JOURNAL_HEADER_LEN: usize = 16;
+
+/// The `.rcj` journal: the shared preamble, then a reserved `u32`.
+const JOURNAL: FileKind = FileKind {
+    magic: JOURNAL_MAGIC,
+    version: JOURNAL_VERSION,
+    min_version: JOURNAL_VERSION,
+    header_len: JOURNAL_HEADER_LEN,
+    name: ".rcj journal",
+};
 
 /// Per-record framing overhead: `payload_len u32` + `fnv64 u64`.
 const FRAME_LEN: usize = 12;
@@ -134,11 +143,6 @@ pub enum JournalRecord {
         /// Generation number published.
         generation: u64,
     },
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
 }
 
 fn encode_record(rec: &JournalRecord) -> Vec<u8> {
@@ -279,8 +283,7 @@ impl Journal {
     pub fn create(path: impl AsRef<Path>) -> Result<Journal, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut header = Vec::with_capacity(JOURNAL_HEADER_LEN);
-        header.extend_from_slice(&JOURNAL_MAGIC);
-        put_u32(&mut header, JOURNAL_VERSION);
+        JOURNAL.put_preamble(&mut header);
         put_u32(&mut header, 0);
         debug_assert_eq!(header.len(), JOURNAL_HEADER_LEN);
         write_durably(&path, &header)?;
@@ -306,25 +309,7 @@ impl Journal {
     pub fn recover(path: impl AsRef<Path>) -> Result<JournalRecovery, StoreError> {
         let path = path.as_ref().to_path_buf();
         let buf = std::fs::read(&path)?;
-        if buf.len() < JOURNAL_HEADER_LEN {
-            return Err(StoreError::Format(format!(
-                "journal header: file is {} bytes, need at least {JOURNAL_HEADER_LEN}",
-                buf.len()
-            )));
-        }
-        if buf[..8] != JOURNAL_MAGIC {
-            return Err(StoreError::Format(
-                "not a regcluster journal (bad magic)".into(),
-            ));
-        }
-        let mut h = ByteReader::new(&buf[8..JOURNAL_HEADER_LEN], "journal header");
-        let version = h.u32()?;
-        if version != JOURNAL_VERSION {
-            return Err(StoreError::Version {
-                found: version,
-                supported: JOURNAL_VERSION,
-            });
-        }
+        let (_, mut h) = JOURNAL.check_preamble(&buf)?;
         let reserved = h.u32()?;
         if reserved != 0 {
             return Err(StoreError::Format(format!(
@@ -439,6 +424,26 @@ mod tests {
             JournalRecord::ShardStaged { lease: 0, epoch: 2 },
             JournalRecord::Published { generation: 0 },
         ]
+    }
+
+    /// Pins the bytes of one journal across commits: the length and FNV-1a
+    /// 64 below were recorded from an earlier build, so any change to the
+    /// header, the frame or a record's encoding fails here.
+    #[test]
+    fn sample_journal_bytes_are_pinned() {
+        let path = tmp("pinned.rcj");
+        let _ = std::fs::remove_file(&path);
+        let mut j = Journal::create(&path).unwrap();
+        for rec in sample_records() {
+            j.append(&rec).unwrap();
+        }
+        drop(j);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            (bytes.len(), Fnv64::hash(&bytes)),
+            (279, 0x7e8e_7629_380a_bada)
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! untouched records.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::Path;
 
 use regcluster_core::{MiningParams, RegCluster};
@@ -10,11 +11,9 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::error::StoreError;
 use crate::format::{
-    u32_at, u64_at, ByteReader, Fnv64, Section, SectionId, FORMAT_VERSION, HEADER_LEN, MAGIC,
-    MIN_SUPPORTED_VERSION, SECTION_ENTRY_LEN,
+    decode_record, record_at, u32_at, u64_at, verify_sections, ByteReader, SectionId, STORE,
 };
 use crate::migrations;
-use crate::writer::decode_record;
 
 /// Summary facts about an open store (also the `/stats` payload shape).
 #[derive(Debug, Clone, Serialize)]
@@ -60,7 +59,8 @@ struct Provenance {
 /// byte-slice views and decode only the records they touch.
 pub struct ClusterStore {
     buf: Vec<u8>,
-    sections: HashMap<u32, Section>,
+    /// Payload range of section id `i + 1` at index `i`.
+    sections: [Range<usize>; 8],
     n_genes: u32,
     n_conds: u32,
     n_clusters: u32,
@@ -111,110 +111,9 @@ impl ClusterStore {
 
     /// Like [`open`](ClusterStore::open), over an already-loaded file image.
     pub fn from_bytes(buf: Vec<u8>) -> Result<Self, StoreError> {
-        if buf.len() < HEADER_LEN {
-            return Err(StoreError::Format(format!(
-                "file too short for a header ({} bytes)",
-                buf.len()
-            )));
-        }
-        if buf[..8] != MAGIC {
-            return Err(StoreError::Format(
-                "bad magic (not a .rcs store, or the writer never sealed it)".into(),
-            ));
-        }
-        let mut h = ByteReader::new(&buf[8..HEADER_LEN], "header");
-        let version = h.u32()?;
-        if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(StoreError::Version {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let section_count = h.u32()? as usize;
-        let table_offset = h.u64()? as usize;
-        let table_checksum = h.u64()?;
-        let table_len = section_count
-            .checked_mul(SECTION_ENTRY_LEN)
-            .ok_or_else(|| StoreError::Format("section count overflows".into()))?;
-        let table_end = table_offset
-            .checked_add(table_len)
-            .filter(|&e| e <= buf.len() && table_offset >= HEADER_LEN)
-            .ok_or_else(|| {
-                StoreError::Format(format!(
-                    "section table [{table_offset}, +{table_len}) out of file bounds ({})",
-                    buf.len()
-                ))
-            })?;
-        let table = &buf[table_offset..table_end];
-        let actual = Fnv64::hash(table);
-        if actual != table_checksum {
-            return Err(StoreError::ChecksumMismatch {
-                section: "section-table",
-                expected: table_checksum,
-                actual,
-            });
-        }
-
-        let mut sections: HashMap<u32, Section> = HashMap::new();
-        let mut r = ByteReader::new(table, "section table");
-        for _ in 0..section_count {
-            let id_raw = r.u32()?;
-            let _reserved = r.u32()?;
-            let offset = r.u64()?;
-            let len = r.u64()?;
-            let checksum = r.u64()?;
-            let id = SectionId::from_u32(id_raw)
-                .ok_or_else(|| StoreError::Format(format!("unknown section id {id_raw}")))?;
-            let end = offset
-                .checked_add(len)
-                .filter(|&e| e <= buf.len() as u64 && offset >= HEADER_LEN as u64);
-            if end.is_none() {
-                return Err(StoreError::Format(format!(
-                    "section {} [{offset}, +{len}) out of file bounds ({})",
-                    id.name(),
-                    buf.len()
-                )));
-            }
-            if sections
-                .insert(
-                    id_raw,
-                    Section {
-                        id,
-                        offset,
-                        len,
-                        checksum,
-                    },
-                )
-                .is_some()
-            {
-                return Err(StoreError::Format(format!(
-                    "duplicate section {}",
-                    id.name()
-                )));
-            }
-        }
-        for required in SectionId::ALL {
-            let Some(s) = sections.get(&(required as u32)) else {
-                return Err(StoreError::Format(format!(
-                    "missing section {}",
-                    required.name()
-                )));
-            };
-            let payload = &buf[s.offset as usize..(s.offset + s.len) as usize];
-            let actual = Fnv64::hash(payload);
-            if actual != s.checksum {
-                return Err(StoreError::ChecksumMismatch {
-                    section: required.name(),
-                    expected: s.checksum,
-                    actual,
-                });
-            }
-        }
-
-        let section = |id: SectionId| -> &[u8] {
-            let s = &sections[&(id as u32)];
-            &buf[s.offset as usize..(s.offset + s.len) as usize]
-        };
+        let (version, header) = STORE.check_preamble(&buf)?;
+        let sections = verify_sections(&buf, header, "section-table", SectionId::NAMES)?;
+        let section = |id: SectionId| &buf[sections[id as usize - 1].clone()];
 
         // META: dimensions + provenance params.
         let mut m = ByteReader::new(section(SectionId::Meta), "meta section");
@@ -242,7 +141,7 @@ impl ClusterStore {
         let cond_names = decode_dict(section(SectionId::CondDict), n_conds, "cond-dict")?;
 
         // Structural invariants of the fixed-width sections.
-        let clusters_len = sections[&(SectionId::Clusters as u32)].len;
+        let clusters_len = section(SectionId::Clusters).len() as u64;
         let offsets = section(SectionId::Offsets);
         if offsets.len() != n_clusters as usize * 8 {
             return Err(StoreError::Format(format!(
@@ -280,16 +179,6 @@ impl ClusterStore {
             "cond-index",
         )?;
 
-        let gene_lookup = gene_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
-            .collect();
-        let cond_lookup = cond_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
-            .collect();
         Ok(ClusterStore {
             buf,
             sections,
@@ -299,16 +188,15 @@ impl ClusterStore {
             params,
             provenance,
             meta,
+            gene_lookup: lookup(&gene_names),
+            cond_lookup: lookup(&cond_names),
             gene_names,
             cond_names,
-            gene_lookup,
-            cond_lookup,
         })
     }
 
     fn section(&self, id: SectionId) -> &[u8] {
-        let s = &self.sections[&(id as u32)];
-        &self.buf[s.offset as usize..(s.offset + s.len) as usize]
+        &self.buf[self.sections[id as usize - 1].clone()]
     }
 
     /// Number of clusters.
@@ -418,14 +306,7 @@ impl ClusterStore {
     /// [`StoreError::ClusterOutOfBounds`] for `id ≥ n_clusters`;
     /// [`StoreError::Format`] if the record bytes are inconsistent.
     pub fn cluster(&self, id: u32) -> Result<RegCluster, StoreError> {
-        if id >= self.n_clusters {
-            return Err(StoreError::ClusterOutOfBounds {
-                id,
-                len: self.n_clusters,
-            });
-        }
-        let off = u64_at(self.section(SectionId::Offsets), id as usize);
-        decode_record(self.section(SectionId::Clusters), off).map(|(c, _)| c)
+        self.record_bytes(id).map(decode_record)
     }
 
     /// The packed record bytes of cluster `id`, exactly as stored — shard
@@ -445,21 +326,8 @@ impl ClusterStore {
                 len: self.n_clusters,
             });
         }
-        let clusters = self.section(SectionId::Clusters);
-        let off = u64_at(self.section(SectionId::Offsets), id as usize) as usize;
-        let mut r = ByteReader::new(&clusters[off..], "cluster record");
-        let chain_len = r.u32()? as usize;
-        let p_len = r.u32()? as usize;
-        let n_len = r.u32()? as usize;
-        let used = 12 + 4 * (chain_len + p_len + n_len);
-        if off + used > clusters.len() {
-            return Err(StoreError::Format(format!(
-                "cluster {id} record [{off}, +{used}) past clusters section \
-                 ({} bytes)",
-                clusters.len()
-            )));
-        }
-        Ok(&clusters[off..off + used])
+        let off = u64_at(self.section(SectionId::Offsets), id as usize);
+        record_at(self.section(SectionId::Clusters), off as usize)
     }
 
     /// The root condition (`chain[0]`) of cluster `id`, read straight from
@@ -565,6 +433,11 @@ impl Iterator for PostingsIter<'_> {
 }
 
 impl ExactSizeIterator for PostingsIter<'_> {}
+
+/// Name → id map of a dictionary.
+fn lookup(names: &[String]) -> HashMap<String, u32> {
+    (0..).zip(names).map(|(i, n)| (n.clone(), i)).collect()
+}
 
 fn checked_u32(v: u64, what: &str) -> Result<u32, StoreError> {
     u32::try_from(v).map_err(|_| StoreError::Format(format!("{what} = {v} exceeds u32")))

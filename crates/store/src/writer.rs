@@ -23,7 +23,8 @@ use serde::{Serialize, Value};
 
 use crate::error::StoreError;
 use crate::format::{
-    put_u32, put_u64, ByteReader, Fnv64, Section, SectionId, FORMAT_VERSION, HEADER_LEN, MAGIC,
+    decode_record, encode_record, put_string, put_u32, put_u64, record_at, validate_record,
+    SectionId, SectionTable, HEADER_LEN, STORE,
 };
 
 /// Optional provenance recorded alongside the mining parameters in a
@@ -322,68 +323,23 @@ impl StoreWriter {
         self.lock().offsets.len() as u64
     }
 
-    fn encode_record(&self, cluster: &RegCluster, out: &mut Vec<u8>) -> Result<(), StoreError> {
-        out.clear();
-        let check = |ids: &[usize], bound: usize, what: &str| -> Result<(), StoreError> {
-            for &v in ids {
-                if v >= bound {
-                    return Err(StoreError::IdOutOfRange(format!(
-                        "{what} id {v} not in dictionary (size {bound})"
-                    )));
-                }
-            }
-            Ok(())
-        };
-        check(&cluster.chain, self.cond_names.len(), "condition")?;
-        check(&cluster.p_members, self.gene_names.len(), "gene")?;
-        check(&cluster.n_members, self.gene_names.len(), "gene")?;
-        put_u32(out, cluster.chain.len() as u32);
-        put_u32(out, cluster.p_members.len() as u32);
-        put_u32(out, cluster.n_members.len() as u32);
-        for &c in &cluster.chain {
-            put_u32(out, c as u32);
-        }
-        for &g in &cluster.p_members {
-            put_u32(out, g as u32);
-        }
-        for &g in &cluster.n_members {
-            put_u32(out, g as u32);
-        }
-        Ok(())
-    }
-
     /// Appends one cluster record. Prefer the [`ClusterSink`] impl when
     /// mining; this is the offline path (e.g. converting a JSON result).
     ///
     /// # Errors
     ///
-    /// [`StoreError::IdOutOfRange`] for ids outside the dictionaries,
-    /// [`StoreError::Io`] on write failure. After an error the writer is
-    /// poisoned: further writes are refused and `finish` reports the
-    /// original failure.
+    /// [`StoreError::Format`] carrying the message of the failure: an empty
+    /// chain, ids outside the dictionaries, or a write failure. After an
+    /// error the writer is poisoned: further writes are refused and
+    /// `finish` reports the original failure.
     pub fn write_cluster(&self, cluster: &RegCluster) -> Result<(), StoreError> {
         let mut state = self.lock();
-        if let Some(e) = &state.error {
-            return Err(StoreError::Format(format!(
-                "writer already failed: {e}; record refused"
-            )));
-        }
         let mut buf = std::mem::take(&mut state.record_buf);
-        let result = self.encode_record(cluster, &mut buf).and_then(|()| {
-            regcluster_failpoint::io("store::record_write")?;
-            state.file.write_all(&buf)?;
-            let off = state.clusters_len;
-            state.offsets.push(off);
-            state.clusters_len += buf.len() as u64;
-            Ok(())
-        });
+        buf.clear();
+        encode_record(cluster, &mut buf);
+        let result = self.append(&mut state, &buf);
         state.record_buf = buf;
-        if let Err(e) = result {
-            let msg = e.to_string();
-            state.error = Some(e);
-            return Err(StoreError::Format(msg));
-        }
-        Ok(())
+        result
     }
 
     /// Appends one cluster as already-packed record bytes, e.g. straight
@@ -396,60 +352,31 @@ impl StoreWriter {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Format`] for malformed record bytes,
-    /// [`StoreError::IdOutOfRange`] for ids outside the dictionaries,
-    /// [`StoreError::Io`] on write failure — with the same poisoning
-    /// behavior as [`write_cluster`](StoreWriter::write_cluster).
+    /// As [`write_cluster`](StoreWriter::write_cluster), of which this is
+    /// the second half: malformed record bytes are a
+    /// [`StoreError::Format`] failure.
     pub fn write_raw_record(&self, record: &[u8]) -> Result<(), StoreError> {
-        if record.len() < 12 {
-            return Err(StoreError::Format(format!(
-                "raw record of {} bytes is shorter than its length prefix",
-                record.len()
-            )));
-        }
-        let chain_len = crate::format::u32_at(record, 0) as usize;
-        let p_len = crate::format::u32_at(record, 1) as usize;
-        let n_len = crate::format::u32_at(record, 2) as usize;
-        let expected = 12 + 4 * (chain_len + p_len + n_len);
-        if record.len() != expected || chain_len == 0 {
-            return Err(StoreError::Format(format!(
-                "raw record declares {chain_len}+{p_len}+{n_len} ids \
-                 ({expected} bytes) but holds {} bytes",
-                record.len()
-            )));
-        }
-        for i in 0..chain_len {
-            let c = crate::format::u32_at(record, 3 + i) as usize;
-            if c >= self.cond_names.len() {
-                return Err(StoreError::IdOutOfRange(format!(
-                    "condition id {c} not in dictionary (size {})",
-                    self.cond_names.len()
-                )));
-            }
-        }
-        for i in 0..p_len + n_len {
-            let g = crate::format::u32_at(record, 3 + chain_len + i) as usize;
-            if g >= self.gene_names.len() {
-                return Err(StoreError::IdOutOfRange(format!(
-                    "gene id {g} not in dictionary (size {})",
-                    self.gene_names.len()
-                )));
-            }
-        }
-        let mut state = self.lock();
+        self.append(&mut self.lock(), record)
+    }
+
+    /// The one path of a record into the file: refused once the writer has
+    /// failed, validated against the dictionaries, then appended. A failure
+    /// poisons the writer and is returned as [`StoreError::Format`]
+    /// carrying its message; `finish` returns the failure itself.
+    fn append(&self, state: &mut WriterState, record: &[u8]) -> Result<(), StoreError> {
         if let Some(e) = &state.error {
             return Err(StoreError::Format(format!(
                 "writer already failed: {e}; record refused"
             )));
         }
-        let result = (|| -> Result<(), StoreError> {
-            regcluster_failpoint::io("store::record_write")?;
-            state.file.write_all(record)?;
-            let off = state.clusters_len;
-            state.offsets.push(off);
-            state.clusters_len += record.len() as u64;
-            Ok(())
-        })();
+        let result = validate_record(record, self.gene_names.len(), self.cond_names.len())
+            .and_then(|()| {
+                regcluster_failpoint::io("store::record_write")?;
+                state.file.write_all(record)?;
+                state.offsets.push(state.clusters_len);
+                state.clusters_len += record.len() as u64;
+                Ok(())
+            });
         if let Err(e) = result {
             let msg = e.to_string();
             state.error = Some(e);
@@ -504,10 +431,11 @@ impl StoreWriter {
         file.seek(SeekFrom::Start(HEADER_LEN as u64))?;
         let mut clusters_raw = vec![0u8; clusters_len as usize];
         file.read_exact(&mut clusters_raw)?;
-        let decoded: Vec<RegCluster> = offsets
+        let records: Vec<&[u8]> = offsets
             .iter()
-            .map(|&off| decode_record(&clusters_raw, off).map(|(c, _)| c))
+            .map(|&off| record_at(&clusters_raw, off as usize))
             .collect::<Result<_, _>>()?;
+        let decoded: Vec<RegCluster> = records.iter().map(|r| decode_record(r)).collect();
 
         // Canonical permutation: the same (chain, p, n) order the collect
         // path sorts into, so cluster ids are stable across thread counts.
@@ -530,11 +458,8 @@ impl StoreWriter {
         let mut canonical_raw = Vec::with_capacity(clusters_raw.len());
         let mut canonical_offsets = Vec::with_capacity(order.len());
         for &arrival in &order {
-            let off = offsets[arrival as usize] as usize;
-            let c = &decoded[arrival as usize];
-            let len = 12 + 4 * (c.chain.len() + c.p_members.len() + c.n_members.len());
             canonical_offsets.push(canonical_raw.len() as u64);
-            canonical_raw.extend_from_slice(&clusters_raw[off..off + len]);
+            canonical_raw.extend_from_slice(records[arrival as usize]);
         }
         debug_assert_eq!(canonical_raw.len(), clusters_raw.len());
         file.seek(SeekFrom::Start(HEADER_LEN as u64))?;
@@ -554,14 +479,8 @@ impl StoreWriter {
             }
         }
 
-        let mut sections: Vec<Section> = vec![Section {
-            id: SectionId::Clusters,
-            offset: HEADER_LEN as u64,
-            len: clusters_len,
-            checksum: Fnv64::hash(&clusters_raw),
-        }];
-        let mut cursor = HEADER_LEN as u64 + clusters_len;
-        file.seek(SeekFrom::Start(cursor))?;
+        let mut sections = SectionTable::new();
+        sections.add(SectionId::Clusters as u32, &clusters_raw);
         let mut file = BufWriter::new(file);
 
         let mut write_section =
@@ -570,13 +489,7 @@ impl StoreWriter {
                 // of the seven sealing sections the chaos test kills at.
                 regcluster_failpoint::io("store::section_flush")?;
                 file.write_all(payload)?;
-                sections.push(Section {
-                    id,
-                    offset: cursor,
-                    len: payload.len() as u64,
-                    checksum: Fnv64::hash(payload),
-                });
-                cursor += payload.len() as u64;
+                sections.add(id as u32, payload);
                 Ok(())
             };
 
@@ -612,26 +525,8 @@ impl StoreWriter {
         write_section(&mut file, SectionId::CondDict, &buf)?;
 
         // Section table, then the real header.
-        let table_offset = cursor;
-        buf.clear();
-        for s in &sections {
-            put_u32(&mut buf, s.id as u32);
-            put_u32(&mut buf, 0);
-            put_u64(&mut buf, s.offset);
-            put_u64(&mut buf, s.len);
-            put_u64(&mut buf, s.checksum);
-        }
-        let table_checksum = Fnv64::hash(&buf);
-        file.write_all(&buf)?;
-        let file_bytes = table_offset + buf.len() as u64;
-
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&MAGIC);
-        put_u32(&mut header, FORMAT_VERSION);
-        put_u32(&mut header, sections.len() as u32);
-        put_u64(&mut header, table_offset);
-        put_u64(&mut header, table_checksum);
-        debug_assert_eq!(header.len(), HEADER_LEN);
+        let (header, table) = sections.seal(&STORE);
+        file.write_all(table)?;
         regcluster_failpoint::io("store::seal_header")?;
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&header)?;
@@ -649,7 +544,7 @@ impl StoreWriter {
 
         Ok(StoreSummary {
             n_clusters: decoded.len() as u64,
-            file_bytes,
+            file_bytes: sections.file_len(),
         })
     }
 }
@@ -661,39 +556,6 @@ impl ClusterSink for StoreWriter {
     fn accept(&self, cluster: RegCluster) -> bool {
         self.write_cluster(&cluster).is_ok()
     }
-}
-
-/// Decodes the record starting at `off`, returning it and its byte length.
-pub(crate) fn decode_record(
-    clusters_raw: &[u8],
-    off: u64,
-) -> Result<(RegCluster, usize), StoreError> {
-    let off = usize::try_from(off)
-        .ok()
-        .filter(|&o| o <= clusters_raw.len())
-        .ok_or_else(|| StoreError::Format(format!("record offset {off} past clusters section")))?;
-    let mut r = ByteReader::new(&clusters_raw[off..], "cluster record");
-    let chain_len = r.u32()? as usize;
-    let p_len = r.u32()? as usize;
-    let n_len = r.u32()? as usize;
-    let mut read_ids = |n: usize| -> Result<Vec<usize>, StoreError> {
-        let raw = r.bytes(n * 4)?;
-        Ok((0..n)
-            .map(|i| crate::format::u32_at(raw, i) as usize)
-            .collect())
-    };
-    let chain = read_ids(chain_len)?;
-    let p_members = read_ids(p_len)?;
-    let n_members = read_ids(n_len)?;
-    let used = 12 + 4 * (chain_len + p_len + n_len);
-    Ok((
-        RegCluster {
-            chain,
-            p_members,
-            n_members,
-        },
-        used,
-    ))
 }
 
 /// CSR layout: `(lists.len() + 1)` u32 prefix starts, then the
@@ -717,7 +579,6 @@ fn encode_dict(names: &[String], out: &mut Vec<u8>) {
     out.clear();
     put_u32(out, names.len() as u32);
     for n in names {
-        put_u32(out, n.len() as u32);
-        out.extend_from_slice(n.as_bytes());
+        put_string(out, n);
     }
 }

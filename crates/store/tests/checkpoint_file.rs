@@ -7,8 +7,9 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 
 use regcluster_core::{
-    CheckpointPlan, CheckpointReport, CheckpointSink, CoreError, MemoryCheckpointSink, MineControl,
-    MineReport, MineRequest, Miner, MiningParams, NoopObserver, RegCluster, SyncMineObserver,
+    CheckpointPlan, CheckpointReport, CheckpointSink, CoreError, EngineCheckpoint,
+    MemoryCheckpointSink, MineControl, MineReport, MineRequest, Miner, MiningParams, NoopObserver,
+    PendingMember, PendingNode, RegCluster, SyncMineObserver,
 };
 use regcluster_datagen::running_example;
 use regcluster_matrix::ExpressionMatrix;
@@ -19,6 +20,97 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Fixed header length of the `.rck` layout (same as `.rcs`).
 const RCK_HEADER_LEN: usize = 32;
+
+/// FNV-1a 64 of `bytes`, computed independently of the store's own hasher.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A hand-built snapshot with two pending frontier nodes (one per member
+/// orientation) and two emitted clusters.
+fn sample_checkpoint() -> EngineCheckpoint {
+    let member = |gene, forward, denom: f64| PendingMember {
+        gene,
+        forward,
+        denom_bits: denom.to_bits(),
+    };
+    EngineCheckpoint {
+        params: MiningParams::new(3, 4, 0.15, 0.1).unwrap(),
+        n_genes: 10,
+        n_conditions: 8,
+        matrix_fingerprint: 0xfeed_f00d_dead_beef,
+        pending: vec![
+            PendingNode {
+                chain: vec![2],
+                members: vec![member(0, true, 0.0), member(5, false, 0.0)],
+            },
+            PendingNode {
+                chain: vec![4, 1, 7],
+                members: vec![
+                    member(1, true, 1.5),
+                    member(3, true, -2.25),
+                    member(9, false, 0.125),
+                ],
+            },
+        ],
+        emitted: vec![
+            RegCluster {
+                chain: vec![0, 3, 6, 5],
+                p_members: vec![1, 2, 8],
+                n_members: vec![4],
+            },
+            RegCluster {
+                chain: vec![1, 2, 7],
+                p_members: vec![0, 6, 7],
+                n_members: vec![],
+            },
+        ],
+    }
+}
+
+/// Pins the bytes of one `.rck` across commits: the length and FNV-1a 64
+/// below were recorded from an earlier build, so any change to the header,
+/// the section table or a section's encoding fails here.
+#[test]
+fn saved_rck_bytes_are_pinned() {
+    let dir = test_dir("pinned");
+    let path = dir.join("pinned.rck");
+    CheckpointFile::new(&path)
+        .save(&sample_checkpoint())
+        .unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!((bytes.len(), fnv64(&bytes)), (477, 0xd8dc_6d20_5b41_9b36));
+    assert_eq!(read_checkpoint(&path).unwrap(), sample_checkpoint());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A table that lists one section twice is rejected even when the table
+/// checksum is recomputed to match, as the `.rcs` reader rejects it.
+#[test]
+fn duplicate_section_entries_are_rejected() {
+    let dir = test_dir("duplicate");
+    let path = dir.join("dup.rck");
+    CheckpointFile::new(&path)
+        .save(&sample_checkpoint())
+        .unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+    let table_offset = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    // Append a second copy of the first (META) entry to the table.
+    let first = bytes[table_offset..table_offset + 32].to_vec();
+    bytes.extend_from_slice(&first);
+    bytes[12..16].copy_from_slice(&(count + 1).to_le_bytes());
+    let table_checksum = fnv64(&bytes[table_offset..]);
+    bytes[24..32].copy_from_slice(&table_checksum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    match read_checkpoint(&path) {
+        Err(StoreError::Format(m)) => assert!(m.contains("duplicate"), "{m}"),
+        other => panic!("expected a duplicate-section error, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
 
 /// A checkpointed collect over every root of `matrix`.
 fn collect_checkpointed(

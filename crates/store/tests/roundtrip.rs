@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use regcluster_core::{mine, ClusterSink, MineRequest, Miner, MiningParams, RegCluster};
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
-use regcluster_store::{ClusterStore, Query, StoreWriter};
+use regcluster_store::{ClusterStore, Query, StoreProvenance, StoreWriter};
 use serde::{Serialize as _, Value};
 
 fn tmp(name: &str) -> PathBuf {
@@ -61,6 +61,13 @@ fn read_all(store: &ClusterStore) -> Vec<RegCluster> {
     store.iter().collect::<Result<_, _>>().unwrap()
 }
 
+/// FNV-1a 64 of `bytes`, computed independently of the store's own hasher.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn running_example_roundtrips_bit_identically_to_golden() {
     let m = running_example();
@@ -88,6 +95,36 @@ fn synthetic_roundtrips_bit_identically_to_golden() {
     write_store(&path, &m, &params, &mined);
     let store = ClusterStore::open(&path).unwrap();
     assert_eq!(read_all(&store), golden("synthetic_100x30.json"));
+}
+
+/// Pins the sealed bytes of one store across commits: the length and FNV-1a
+/// 64 below were recorded from an earlier build, so any change to the
+/// header, the section table, the record layout or the META JSON fails here.
+#[test]
+fn sealed_rcs_bytes_are_pinned() {
+    let (m, params) = synthetic_100x30();
+    let provenance = StoreProvenance {
+        engine: Some("reg-cluster".into()),
+        engine_params: Some(r#"{"threads":1}"#.into()),
+        generation: 3,
+        matrix_fingerprint: Some(0x0123_4567_89ab_cdef),
+        root_fingerprints: Some((0..30u64).map(|r| r * 0x9e37_79b9).collect()),
+    };
+    let path = tmp("pinned.rcs");
+    let w = StoreWriter::create_with_provenance(
+        &path,
+        m.gene_names(),
+        m.condition_names(),
+        &params,
+        &provenance,
+    )
+    .unwrap();
+    for c in &golden("synthetic_100x30.json") {
+        w.write_cluster(c).unwrap();
+    }
+    w.finish().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!((bytes.len(), fnv64(&bytes)), (36371, 0xf04a_2d3f_3ba0_8cad));
 }
 
 #[test]
@@ -245,22 +282,31 @@ fn writer_rejects_out_of_dictionary_ids_and_poisons() {
     let m = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
     let path = tmp("poison.rcs");
-    let w = StoreWriter::create(&path, m.gene_names(), m.condition_names(), &params).unwrap();
-    let bad = RegCluster {
+    let out_of_dictionary = RegCluster {
         chain: vec![0, 99],
         p_members: vec![0],
         n_members: vec![],
     };
-    // As a sink: refuses the cluster (cooperative engine stop)…
-    assert!(!w.accept(bad));
-    // …and keeps refusing afterwards, reporting the failure from finish.
-    let ok = RegCluster {
-        chain: vec![0, 1],
+    // No cluster has an empty chain; a store holding one could not be
+    // merged (`cluster_root` refuses it).
+    let empty_chain = RegCluster {
+        chain: vec![],
         p_members: vec![0],
         n_members: vec![],
     };
-    assert!(!w.accept(ok));
-    assert!(w.finish().is_err());
+    for bad in [out_of_dictionary, empty_chain] {
+        let w = StoreWriter::create(&path, m.gene_names(), m.condition_names(), &params).unwrap();
+        // As a sink: refuses the cluster (cooperative engine stop)…
+        assert!(!w.accept(bad.clone()), "{bad:?} must be refused");
+        // …and keeps refusing afterwards, reporting the failure from finish.
+        let ok = RegCluster {
+            chain: vec![0, 1],
+            p_members: vec![0],
+            n_members: vec![],
+        };
+        assert!(!w.accept(ok));
+        assert!(w.finish().is_err());
+    }
 }
 
 /// A tiny deterministic xorshift64 generator — enough randomness for a

@@ -22,8 +22,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> store durability (round-trip + corruption)"
+echo "==> store durability (round-trip + corruption + byte pins of .rcs, .rck and .rcj)"
 cargo test -q -p regcluster-store --test roundtrip --test corruption
+cargo test -q -p regcluster-store --lib --test roundtrip --test checkpoint_file -- bytes_are_pinned
 
 echo "==> chaos (failpoint-injected faults: torn writes, crash checkpoints, worker panics)"
 cargo test -q -p regcluster-store --test torn_write --test checkpoint_file
