@@ -37,8 +37,8 @@ use regcluster_core::{CheckpointSink, EngineCheckpoint, MiningParams, PendingMem
 
 use crate::error::StoreError;
 use crate::format::{
-    decode_record, encode_record, put_u32, put_u64, record_at, verify_sections, ByteReader,
-    FileKind, SectionTable, HEADER_LEN,
+    decode_record, encode_record, put_u32, put_u64, record_at, ByteReader, FileKind, SectionTable,
+    HEADER_LEN,
 };
 use crate::writer::write_durably;
 
@@ -143,15 +143,15 @@ fn encode_checkpoint(ck: &EngineCheckpoint) -> Result<Vec<u8>, StoreError> {
         encode_record(c, &mut emitted);
     }
 
-    let mut table = SectionTable::new();
-    let mut out = vec![0u8; HEADER_LEN];
+    let mut table = SectionTable::new(&CHECKPOINT);
+    let mut out = vec![0u8; CHECKPOINT.header_len];
     for (id, payload) in [(META, &meta), (PENDING, &pending), (EMITTED, &emitted)] {
         table.add(id, payload);
         out.extend_from_slice(payload);
     }
-    let (header, table) = table.seal(&CHECKPOINT);
+    let (header, table) = table.seal();
     out.extend_from_slice(table);
-    out[..HEADER_LEN].copy_from_slice(&header);
+    out[..CHECKPOINT.header_len].copy_from_slice(&header);
     Ok(out)
 }
 
@@ -170,8 +170,8 @@ fn encode_checkpoint(ck: &EngineCheckpoint) -> Result<Vec<u8>, StoreError> {
 /// * [`StoreError::Metadata`] — parameter provenance unreadable.
 pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<EngineCheckpoint, StoreError> {
     let buf = std::fs::read(path.as_ref())?;
-    let (_, header) = CHECKPOINT.check_preamble(&buf)?;
-    let sections = verify_sections(&buf, header, "checkpoint section table", SECTION_NAMES)?;
+    let (_, sections) =
+        CHECKPOINT.open_sections(&buf, "checkpoint section table", SECTION_NAMES)?;
     let [meta, pending, emitted] = sections.map(|range| &buf[range]);
 
     let mut m = ByteReader::new(meta, "checkpoint meta");

@@ -44,9 +44,9 @@
 //! records in the CLUSTERS encoding. The `.rcj` journal starts with the
 //! same preamble (magic, then version). Each decision has one function
 //! here: [`FileKind::check_preamble`] for the preamble, [`SectionTable`]
-//! and [`verify_sections`] for the container, and [`encode_record`],
-//! [`record_len`], [`validate_record`], [`record_at`] and
-//! [`decode_record`] for the record.
+//! and [`FileKind::open_sections`] for the container, and
+//! [`encode_record`], [`record_len`], [`validate_record`], [`record_at`]
+//! and [`decode_record`] for the record.
 
 use std::ops::Range;
 
@@ -132,6 +132,75 @@ impl FileKind {
         out.extend_from_slice(&self.magic);
         put_u32(out, self.version);
     }
+
+    /// Checks the preamble of `buf`, a sectioned file of this kind, then
+    /// verifies its section container: the table lies in the file past the
+    /// header and matches its checksum; every entry has a known id (1 to
+    /// `N`), appears once, lies past the header and within the file, and
+    /// matches its checksum. Returns the version and each section's payload
+    /// range, section id `i + 1` at index `i`. `names` names the sections
+    /// and `table_name` the table in [`StoreError::ChecksumMismatch`].
+    pub fn open_sections<const N: usize>(
+        &self,
+        buf: &[u8],
+        table_name: &'static str,
+        names: [&'static str; N],
+    ) -> Result<(u32, [Range<usize>; N]), StoreError> {
+        let (version, mut header) = self.check_preamble(buf)?;
+        let count = header.u32()?;
+        let table_offset = header.u64()?;
+        let table_checksum = header.u64()?;
+        let table_len = u64::from(count) * SECTION_ENTRY_LEN as u64;
+        // `[offset, offset + len)` as a range of `buf`, provided it lies past
+        // the header and within the file.
+        let in_file = |name: &str, offset: u64, len: u64| match offset.checked_add(len) {
+            Some(end) if end <= buf.len() as u64 && offset >= self.header_len as u64 => {
+                Ok(offset as usize..end as usize)
+            }
+            _ => Err(StoreError::Format(format!(
+                "section {name} [{offset}, +{len}) out of file bounds ({})",
+                buf.len()
+            ))),
+        };
+        let table = &buf[in_file("table", table_offset, table_len)?];
+        let actual = Fnv64::hash(table);
+        if actual != table_checksum {
+            return Err(StoreError::ChecksumMismatch {
+                section: table_name,
+                expected: table_checksum,
+                actual,
+            });
+        }
+
+        let mut found: [Option<Range<usize>>; N] = std::array::from_fn(|_| None);
+        let mut r = ByteReader::new(table, "section table");
+        for _ in 0..count {
+            let id = r.u32()?;
+            let _reserved = r.u32()?;
+            let (offset, len, checksum) = (r.u64()?, r.u64()?, r.u64()?);
+            let Some(slot) = (id as usize).checked_sub(1).and_then(|i| found.get_mut(i)) else {
+                return Err(StoreError::Format(format!("unknown section id {id}")));
+            };
+            let name = names[id as usize - 1];
+            let range = in_file(name, offset, len)?;
+            if slot.is_some() {
+                return Err(StoreError::Format(format!("duplicate section {name}")));
+            }
+            let actual = Fnv64::hash(&buf[range.clone()]);
+            if actual != checksum {
+                return Err(StoreError::ChecksumMismatch {
+                    section: name,
+                    expected: checksum,
+                    actual,
+                });
+            }
+            *slot = Some(range);
+        }
+        if let Some(i) = found.iter().position(Option::is_none) {
+            return Err(StoreError::Format(format!("missing section {}", names[i])));
+        }
+        Ok((version, found.map(Option::unwrap_or_default)))
+    }
 }
 
 /// Section identifiers of the `.rcs` store (the `id` field of a table
@@ -175,6 +244,7 @@ impl SectionId {
 /// laid out back to back from the end of the header, in the order they
 /// are added; the table follows the last one.
 pub(crate) struct SectionTable {
+    kind: &'static FileKind,
     table: Vec<u8>,
     count: u32,
     /// Where the next section starts.
@@ -182,12 +252,14 @@ pub(crate) struct SectionTable {
 }
 
 impl SectionTable {
-    /// An empty table whose first section starts right after the header.
-    pub fn new() -> Self {
+    /// An empty table for a file of `kind`, whose first section starts
+    /// right after that kind's header.
+    pub fn new(kind: &'static FileKind) -> Self {
         SectionTable {
+            kind,
             table: Vec::new(),
             count: 0,
-            end: HEADER_LEN as u64,
+            end: kind.header_len as u64,
         }
     }
 
@@ -204,95 +276,19 @@ impl SectionTable {
 
     /// The header that points at the table, and the table bytes, which go
     /// right after the last section.
-    pub fn seal(&self, kind: &FileKind) -> (Vec<u8>, &[u8]) {
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        kind.put_preamble(&mut header);
+    pub fn seal(&self) -> (Vec<u8>, &[u8]) {
+        let mut header = Vec::with_capacity(self.kind.header_len);
+        self.kind.put_preamble(&mut header);
         put_u32(&mut header, self.count);
         put_u64(&mut header, self.end);
         put_u64(&mut header, Fnv64::hash(&self.table));
-        debug_assert_eq!(header.len(), HEADER_LEN);
+        debug_assert_eq!(header.len(), self.kind.header_len);
         (header, &self.table)
     }
 
     /// Length of the sealed file: header, sections and table.
     pub fn file_len(&self) -> u64 {
         self.end + self.table.len() as u64
-    }
-}
-
-/// Verifies the section container of `buf`, whose preamble `header` has
-/// already been read by [`FileKind::check_preamble`]: the table lies in
-/// the file past the header and matches its checksum; every entry has a
-/// known id (1 to `N`), appears once, lies past the header and within the
-/// file, and matches its checksum. Returns each section's payload range,
-/// section id `i + 1` at index `i`. `names` names the sections and
-/// `table_name` the table in [`StoreError::ChecksumMismatch`].
-pub(crate) fn verify_sections<const N: usize>(
-    buf: &[u8],
-    mut header: ByteReader<'_>,
-    table_name: &'static str,
-    names: [&'static str; N],
-) -> Result<[Range<usize>; N], StoreError> {
-    let count = header.u32()?;
-    let table_offset = header.u64()?;
-    let table_checksum = header.u64()?;
-    let table_len = u64::from(count) * SECTION_ENTRY_LEN as u64;
-    let table = &buf[payload_range(buf, "table", table_offset, table_len)?];
-    let actual = Fnv64::hash(table);
-    if actual != table_checksum {
-        return Err(StoreError::ChecksumMismatch {
-            section: table_name,
-            expected: table_checksum,
-            actual,
-        });
-    }
-
-    let mut found: [Option<Range<usize>>; N] = std::array::from_fn(|_| None);
-    let mut r = ByteReader::new(table, "section table");
-    for _ in 0..count {
-        let id = r.u32()?;
-        let _reserved = r.u32()?;
-        let (offset, len, checksum) = (r.u64()?, r.u64()?, r.u64()?);
-        let Some(slot) = (id as usize).checked_sub(1).and_then(|i| found.get_mut(i)) else {
-            return Err(StoreError::Format(format!("unknown section id {id}")));
-        };
-        let name = names[id as usize - 1];
-        let range = payload_range(buf, name, offset, len)?;
-        if slot.is_some() {
-            return Err(StoreError::Format(format!("duplicate section {name}")));
-        }
-        let actual = Fnv64::hash(&buf[range.clone()]);
-        if actual != checksum {
-            return Err(StoreError::ChecksumMismatch {
-                section: name,
-                expected: checksum,
-                actual,
-            });
-        }
-        *slot = Some(range);
-    }
-    if let Some(i) = found.iter().position(Option::is_none) {
-        return Err(StoreError::Format(format!("missing section {}", names[i])));
-    }
-    Ok(found.map(Option::unwrap_or_default))
-}
-
-/// `[offset, offset + len)` as a range of `buf`, provided it lies past the
-/// header and within the file.
-fn payload_range(
-    buf: &[u8],
-    name: &str,
-    offset: u64,
-    len: u64,
-) -> Result<Range<usize>, StoreError> {
-    match offset.checked_add(len) {
-        Some(end) if end <= buf.len() as u64 && offset >= HEADER_LEN as u64 => {
-            Ok(offset as usize..end as usize)
-        }
-        _ => Err(StoreError::Format(format!(
-            "section {name} [{offset}, +{len}) out of file bounds ({})",
-            buf.len()
-        ))),
     }
 }
 
@@ -563,9 +559,55 @@ mod tests {
 
     #[test]
     fn section_ids_roundtrip() {
-        // `verify_sections` returns section id `i + 1` at index `i`.
+        // `open_sections` returns section id `i + 1` at index `i`.
         assert_eq!(SectionId::CondDict as usize, SectionId::NAMES.len());
         assert_eq!(SectionId::NAMES[SectionId::Meta as usize - 1], "meta");
         assert!(SectionId::NAMES.iter().all(|n| !n.is_empty()));
+    }
+
+    const TWO_SECTIONS: FileKind = FileKind {
+        magic: *b"RCTEST\0\0",
+        version: 1,
+        min_version: 1,
+        header_len: HEADER_LEN,
+        name: "test file",
+    };
+
+    /// Sections "one" (id 1) and "two" (id 2) of a `TWO_SECTIONS` file.
+    fn verify(buf: &[u8]) -> Result<[Range<usize>; 2], StoreError> {
+        let (_, sections) = TWO_SECTIONS.open_sections(buf, "table", ["one", "two"])?;
+        Ok(sections)
+    }
+
+    #[test]
+    fn section_container_rejects_unknown_and_duplicate_ids() {
+        let mut table = SectionTable::new(&TWO_SECTIONS);
+        let mut good = vec![0u8; HEADER_LEN];
+        for (id, payload) in [(1, b"one"), (2, b"two")] {
+            table.add(id, payload);
+            good.extend_from_slice(payload);
+        }
+        let table_at = good.len();
+        let (header, table) = table.seal();
+        good.extend_from_slice(table);
+        good[..HEADER_LEN].copy_from_slice(&header);
+        assert_eq!(verify(&good).unwrap(), [32..35, 35..38]);
+
+        // Rewrite the second entry's id, keeping the table checksum valid.
+        for (id, expected) in [
+            (0u32, "unknown section id 0"),
+            (3, "unknown section id 3"),
+            (1, "duplicate section one"),
+        ] {
+            let mut buf = good.clone();
+            let entry = table_at + SECTION_ENTRY_LEN;
+            buf[entry..entry + 4].copy_from_slice(&id.to_le_bytes());
+            let checksum = Fnv64::hash(&buf[table_at..]);
+            buf[24..32].copy_from_slice(&checksum.to_le_bytes());
+            match verify(&buf) {
+                Err(StoreError::Format(m)) => assert_eq!(m, expected),
+                other => panic!("expected {expected:?}, got {other:?}"),
+            }
+        }
     }
 }

@@ -10,9 +10,7 @@ use regcluster_core::{MiningParams, RegCluster};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::error::StoreError;
-use crate::format::{
-    decode_record, record_at, u32_at, u64_at, verify_sections, ByteReader, SectionId, STORE,
-};
+use crate::format::{decode_record, record_at, u32_at, u64_at, ByteReader, SectionId, STORE};
 use crate::migrations;
 
 /// Summary facts about an open store (also the `/stats` payload shape).
@@ -111,8 +109,7 @@ impl ClusterStore {
 
     /// Like [`open`](ClusterStore::open), over an already-loaded file image.
     pub fn from_bytes(buf: Vec<u8>) -> Result<Self, StoreError> {
-        let (version, header) = STORE.check_preamble(&buf)?;
-        let sections = verify_sections(&buf, header, "section-table", SectionId::NAMES)?;
+        let (version, sections) = STORE.open_sections(&buf, "section-table", SectionId::NAMES)?;
         let section = |id: SectionId| &buf[sections[id as usize - 1].clone()];
 
         // META: dimensions + provenance params.

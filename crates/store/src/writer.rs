@@ -24,7 +24,7 @@ use serde::{Serialize, Value};
 use crate::error::StoreError;
 use crate::format::{
     decode_record, encode_record, put_string, put_u32, put_u64, record_at, validate_record,
-    SectionId, SectionTable, HEADER_LEN, STORE,
+    SectionId, SectionTable, STORE,
 };
 
 /// Optional provenance recorded alongside the mining parameters in a
@@ -295,7 +295,7 @@ impl StoreWriter {
         // Placeholder header; patched by `finish` once the table offset and
         // checksum are known. Until then the magic is zeroed, so a reader
         // can never mistake an unsealed file for a valid store.
-        file.write_all(&[0u8; HEADER_LEN])?;
+        file.write_all(&[0u8; STORE.header_len])?;
         Ok(StoreWriter {
             state: Mutex::new(WriterState {
                 file,
@@ -428,14 +428,13 @@ impl StoreWriter {
 
         // Re-read the streamed records once to canonicalize and index. The
         // records stay on disk; only (chain, members) copies are held here.
-        file.seek(SeekFrom::Start(HEADER_LEN as u64))?;
+        file.seek(SeekFrom::Start(STORE.header_len as u64))?;
         let mut clusters_raw = vec![0u8; clusters_len as usize];
         file.read_exact(&mut clusters_raw)?;
-        let records: Vec<&[u8]> = offsets
+        let decoded: Vec<RegCluster> = offsets
             .iter()
-            .map(|&off| record_at(&clusters_raw, off as usize))
+            .map(|&off| record_at(&clusters_raw, off as usize).map(decode_record))
             .collect::<Result<_, _>>()?;
-        let decoded: Vec<RegCluster> = records.iter().map(|r| decode_record(r)).collect();
 
         // Canonical permutation: the same (chain, p, n) order the collect
         // path sorts into, so cluster ids are stable across thread counts.
@@ -458,13 +457,15 @@ impl StoreWriter {
         let mut canonical_raw = Vec::with_capacity(clusters_raw.len());
         let mut canonical_offsets = Vec::with_capacity(order.len());
         for &arrival in &order {
+            let record = record_at(&clusters_raw, offsets[arrival as usize] as usize)?;
             canonical_offsets.push(canonical_raw.len() as u64);
-            canonical_raw.extend_from_slice(records[arrival as usize]);
+            canonical_raw.extend_from_slice(record);
         }
         debug_assert_eq!(canonical_raw.len(), clusters_raw.len());
-        file.seek(SeekFrom::Start(HEADER_LEN as u64))?;
+        file.seek(SeekFrom::Start(STORE.header_len as u64))?;
         file.write_all(&canonical_raw)?;
-        let clusters_raw = canonical_raw;
+        // Frees the arrival-order copy: the seal holds the records once.
+        clusters_raw = canonical_raw;
 
         // Inverted postings, ascending by construction (canonical id order).
         let mut gene_postings: Vec<Vec<u32>> = vec![Vec::new(); self.gene_names.len()];
@@ -479,7 +480,7 @@ impl StoreWriter {
             }
         }
 
-        let mut sections = SectionTable::new();
+        let mut sections = SectionTable::new(&STORE);
         sections.add(SectionId::Clusters as u32, &clusters_raw);
         let mut file = BufWriter::new(file);
 
@@ -525,7 +526,7 @@ impl StoreWriter {
         write_section(&mut file, SectionId::CondDict, &buf)?;
 
         // Section table, then the real header.
-        let (header, table) = sections.seal(&STORE);
+        let (header, table) = sections.seal();
         file.write_all(table)?;
         regcluster_failpoint::io("store::seal_header")?;
         file.seek(SeekFrom::Start(0))?;
