@@ -60,6 +60,16 @@ struct HotpathPoint {
     /// Headline metric: `enumerate_s * 1e9 / nodes`.
     ns_per_node: f64,
     nodes_per_s: f64,
+    /// Qualified (member, candidate) pairs bucketed over the run.
+    #[serde(default)]
+    pairs: usize,
+    /// Keys the ε-cell filter handed to the per-candidate sort.
+    #[serde(default)]
+    sorted_keys: usize,
+    /// `enumerate_s * 1e9 / pairs`: the per-node cost restated per unit
+    /// of candidate work.
+    #[serde(default)]
+    ns_per_pair: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -145,6 +155,9 @@ fn run_point(n_conds: usize, reps: usize) -> HotpathPoint {
         clusters: stats.emitted,
         ns_per_node: enumerate_s * 1e9 / nodes as f64,
         nodes_per_s: nodes as f64 / enumerate_s.max(1e-12),
+        pairs: stats.pairs,
+        sorted_keys: stats.sorted_keys,
+        ns_per_pair: enumerate_s * 1e9 / stats.pairs.max(1) as f64,
     }
 }
 
@@ -157,14 +170,21 @@ fn sweep(quick: bool) -> HotpathBaseline {
     let mut points = Vec::new();
     println!("hot-path sweep (fig7 conditions panel, #g = 3000, MinC = 6)");
     println!(
-        "{:>7} {:>12} {:>12} {:>10} {:>12} {:>10}",
-        "#cond", "model (s)", "enum (s)", "nodes", "ns/node", "clusters"
+        "{:>7} {:>12} {:>12} {:>10} {:>12} {:>10} {:>10} {:>8}",
+        "#cond", "model (s)", "enum (s)", "nodes", "ns/node", "clusters", "pairs", "sorted"
     );
     for &n_conds in axis {
         let p = run_point(n_conds, reps);
         println!(
-            "{:>7} {:>12.4} {:>12.4} {:>10} {:>12.1} {:>10}",
-            p.n_conds, p.model_build_s, p.enumerate_s, p.nodes, p.ns_per_node, p.clusters
+            "{:>7} {:>12.4} {:>12.4} {:>10} {:>12.1} {:>10} {:>10} {:>8}",
+            p.n_conds,
+            p.model_build_s,
+            p.enumerate_s,
+            p.nodes,
+            p.ns_per_node,
+            p.clusters,
+            p.pairs,
+            p.sorted_keys
         );
         points.push(p);
     }
@@ -290,6 +310,9 @@ mod tests {
                     clusters: 0,
                     ns_per_node,
                     nodes_per_s: 0.0,
+                    pairs: 0,
+                    sorted_keys: 0,
+                    ns_per_pair: 0.0,
                 })
                 .collect(),
         }

@@ -1155,6 +1155,26 @@ mod tests {
         std::fs::write(&legacy_path, &legacy).unwrap();
         let doc = read_mine_output(legacy_path.to_str().unwrap()).unwrap();
         assert_eq!(doc.format_version, None);
+
+        // Stats written before the `pairs` / `sorted_keys` work counters
+        // existed still read, with the counters at zero.
+        let stats = doc.stats.expect("mine writes its stats");
+        assert!(stats.pairs > 0, "{stats:?}");
+        let mut lines: Vec<&str> = raw
+            .lines()
+            .filter(|l| !l.contains("\"pairs\"") && !l.contains("\"sorted_keys\""))
+            .collect();
+        let last_kept = lines
+            .iter()
+            .position(|l| l.contains("\"pruned_coherence\""))
+            .expect("stats carry pruned_coherence");
+        lines[last_kept] = lines[last_kept].trim_end_matches(',');
+        let older_path = dir.join("ver-older-stats.json");
+        std::fs::write(&older_path, lines.join("\n")).unwrap();
+        let older = read_mine_output(older_path.to_str().unwrap()).unwrap();
+        let older_stats = older.stats.expect("stats still read");
+        assert_eq!((older_stats.pairs, older_stats.sorted_keys), (0, 0));
+        assert_eq!(older_stats.nodes, stats.nodes);
     }
 
     /// `mine --metrics` / `--metrics-json` snapshot the run's registry:

@@ -64,10 +64,12 @@ pub type Window = (usize, usize);
 /// (`max − min`) is at most `epsilon` and whose length is at least
 /// `min_len`.
 ///
-/// `sorted_scores` must be sorted ascending (checked in debug builds).
-/// Windows are returned left to right; they may overlap, mirroring the
-/// paper's sliding-window partitioning whose validated gene subsets `X''`
-/// "may overlap".
+/// `sorted_scores` must be sorted ascending, in [`f64::total_cmp`] order
+/// where it holds non-finite scores (checked in debug builds). Windows are
+/// returned left to right; they may overlap, mirroring the paper's
+/// sliding-window partitioning whose validated gene subsets `X''` "may
+/// overlap". A non-finite score (±∞, NaN) belongs to no window: its
+/// difference to any score is infinite or NaN, never within a finite ε.
 ///
 /// ```
 /// use regcluster_core::coherence::maximal_windows;
@@ -93,11 +95,17 @@ pub fn maximal_windows_into(
     min_len: usize,
     out: &mut Vec<Window>,
 ) {
+    out.clear();
+    // In total order −NaN and −∞ lead and +∞ and +NaN trail; the scan runs
+    // over the finite run between them. On a non-finite score its own
+    // extension test is NaN, and the jump search below would never advance.
+    let lo = sorted_scores.partition_point(|x| !x.is_finite() && x.is_sign_negative());
+    let hi = sorted_scores.partition_point(|x| x.is_finite() || x.is_sign_negative());
+    let sorted_scores = &sorted_scores[lo..hi.max(lo)];
     debug_assert!(
         sorted_scores.windows(2).all(|w| w[0] <= w[1]),
         "scores must be sorted ascending"
     );
-    out.clear();
     let n = sorted_scores.len();
     // A negative (or NaN) epsilon admits no window at all — the extension
     // test fails even on a single score — and the jump search below relies
@@ -124,7 +132,7 @@ pub fn maximal_windows_into(
         // and maximal to the left because `start` is only ever placed where
         // the right edge just advanced (or at 0).
         if end - start >= min_len {
-            out.push((start, end));
+            out.push((lo + start, lo + end));
         }
         if end == n {
             // Every later window is a suffix of this one; none can be
@@ -163,6 +171,99 @@ pub fn maximal_windows_into(
             }
             hi
         };
+    }
+}
+
+/// Cell values `x · (1/ε)` must stay below this magnitude for the density
+/// filter to vouch for a bucket: there a rounded product is off by at most
+/// 1/16, so two scores within ε lie at most two cells apart.
+const CELL_LIMIT: f64 = (1u64 << 50) as f64;
+// Bounds of the residue table of [`hot_keys_into`]: `2n` slots rounded up
+// to a power of two, so a run of `n` scores rarely aliases, and at most
+// 16 KiB however large the bucket.
+const MIN_SLOTS: usize = 32;
+const MAX_SLOTS: usize = 4096;
+
+/// Writes into `keys` (cleared first) the `(score, index)` pairs of the
+/// scores that can belong to an ε-window of at least `min_len` of them,
+/// in `scores` order — the input the miner sorts and hands to
+/// [`maximal_windows_into`].
+///
+/// Each score falls in the ε-wide cell `⌊x · (1/ε)⌋`, and a window spans at
+/// most three consecutive cells, so a score is kept ("hot") when one of the
+/// three cell triples around it holds at least `min_len` scores. Cells are
+/// counted in `table`, a grow-only scratch of `u32` residues (`cell mod m`
+/// for a power of two `m`); aliased residues only over-count, which keeps
+/// cells and never drops one. Sorting only the hot scores yields the same
+/// maximal windows of at least `min_len` scores, as the same member sets,
+/// as sorting them all (DESIGN.md §15.4). Where that argument does not
+/// hold — ε not finite and positive, `1/ε` not finite, or a score with
+/// `|x · (1/ε)| ≥ 2^50` (NaN and ±∞ included) — every score is hot.
+///
+/// ```
+/// use regcluster_core::coherence::hot_keys_into;
+///
+/// let (mut table, mut keys) = (Vec::new(), Vec::new());
+/// hot_keys_into(&[0.5, 9.0, 0.51, 0.52], 0.05, 3, &mut table, &mut keys);
+/// assert_eq!(keys, vec![(0.5, 0), (0.51, 2), (0.52, 3)]);
+/// // No three scores within 0.05 of one another: nothing to sort.
+/// hot_keys_into(&[0.5, 9.0, 0.51, 3.0], 0.05, 3, &mut table, &mut keys);
+/// assert!(keys.is_empty());
+/// ```
+pub fn hot_keys_into(
+    scores: &[f64],
+    epsilon: f64,
+    min_len: usize,
+    table: &mut Vec<u32>,
+    keys: &mut Vec<(f64, u32)>,
+) {
+    keys.clear();
+    let slots = (2 * scores.len())
+        .next_power_of_two()
+        .clamp(MIN_SLOTS, MAX_SLOTS);
+    let mask = slots - 1;
+    let inv = 1.0 / epsilon;
+    // `⌊v⌋` via truncation (no libm call on baseline x86-64); exact for
+    // `|v| < 2^50`, and saturating — harmless — elsewhere, where the bucket
+    // is not vouched for anyway.
+    let slot = |x: f64| {
+        let v = x * inv;
+        let t = v as i64;
+        t.wrapping_sub((v < t as f64) as i64) as usize & mask
+    };
+    table.resize(table.len().max(slots), 0);
+    let table = &mut table[..slots];
+    table.fill(0);
+    let mut vouched = epsilon > 0.0 && epsilon.is_finite() && inv.is_finite();
+    for &x in scores {
+        vouched &= (x * inv).abs() < CELL_LIMIT;
+        table[slot(x)] += 1;
+    }
+    // An unvouched bucket takes the same path with a threshold every cell
+    // meets, so every key is hot.
+    let need = if vouched {
+        u32::try_from(min_len).unwrap_or(u32::MAX)
+    } else {
+        0
+    };
+    let triple = |r: usize| table[(r + mask) & mask] + table[r] + table[(r + 1) & mask];
+    // Early reject, the common case: no triple reaches `need`. The straight
+    // run of triples is a branch-free OR the compiler vectorizes; the two
+    // that wrap around the table are checked apart.
+    let straight = table[..slots - 2]
+        .iter()
+        .zip(&table[1..slots - 1])
+        .zip(&table[2..])
+        .fold(false, |hot, ((a, b), c)| hot | (a + b + c >= need));
+    if !straight && triple(0) < need && triple(mask) < need {
+        return;
+    }
+    for (i, &x) in scores.iter().enumerate() {
+        let r = slot(x);
+        if triple((r + mask) & mask) >= need || triple(r) >= need || triple((r + 1) & mask) >= need
+        {
+            keys.push((x, i as u32));
+        }
     }
 }
 
@@ -253,6 +354,21 @@ mod tests {
         assert!(maximal_windows(&[1.0], 0.1, 2).is_empty());
         assert_eq!(maximal_windows(&[1.0], 0.1, 1), vec![(0, 1)]);
         assert!(maximal_windows(&[1.0, 2.0], 0.5, 0).is_empty());
+    }
+
+    #[test]
+    fn non_finite_scores_belong_to_no_window() {
+        // An infinite score fails its own extension test (∞ − ∞ = NaN);
+        // the jump search must neither stall on it nor index past the end.
+        let inf = f64::INFINITY;
+        assert!(maximal_windows(&[inf, inf], 0.1, 1).is_empty());
+        assert_eq!(maximal_windows(&[5.0, inf], 0.1, 1), vec![(0, 1)]);
+        assert_eq!(maximal_windows(&[5.0, inf, inf], 0.1, 1), vec![(0, 1)]);
+        assert_eq!(
+            maximal_windows(&[-inf, -inf, 5.0, 5.05, inf, f64::NAN], 0.1, 2),
+            vec![(2, 4)]
+        );
+        assert!(maximal_windows(&[-f64::NAN, -inf, f64::NAN], 0.1, 1).is_empty());
     }
 
     #[test]

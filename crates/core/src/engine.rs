@@ -1112,6 +1112,8 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
             }
         }
     }
+    observer.stats.pairs += scratch.pairs;
+    observer.stats.sorted_keys += scratch.sorted_keys;
     observer.stats
 }
 

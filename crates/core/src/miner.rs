@@ -33,7 +33,7 @@ use std::sync::Mutex;
 
 use regcluster_matrix::{CondId, ExpressionMatrix, GeneId};
 
-use crate::coherence::maximal_windows_into;
+use crate::coherence::{hot_keys_into, maximal_windows_into};
 use crate::engine::{lock, MineRequest};
 use crate::intern::ClusterView;
 use crate::observer::{MineObserver, PruneRule, SyncMineObserver};
@@ -239,12 +239,15 @@ impl<'a> Miner<'a> {
             offsets,
             mem,
             scores,
+            cells,
             keys,
             hs,
             windows,
             p_genes,
             n_genes,
             genes,
+            pairs,
+            sorted_keys,
         } = scratch;
 
         let n_fwd = members.iter().filter(|m| m.dir == Dir::Fwd).count();
@@ -406,6 +409,7 @@ impl<'a> Miner<'a> {
         }
         offsets[n_conds] = total;
         let total = total as usize;
+        *pairs += total;
         const DUMMY: Member = Member {
             gene: 0,
             dir: Dir::Fwd,
@@ -492,18 +496,23 @@ impl<'a> Miner<'a> {
                 }
                 // Sort compact (score, bucket-index) keys — half the bytes
                 // of moving the members themselves — and gather members
-                // through the index when emitting windows. Unstable sort:
-                // no allocation, and neither window membership nor emitted
+                // through the index when emitting windows. Only the scores
+                // an ε-cell count admits to a MinG-window are keyed; the
+                // rest cannot change the maximal windows (DESIGN.md §15.4),
+                // and a bucket with no such score yields no key and falls
+                // through to the coherence prune. Unstable sort: no
+                // allocation, and neither window membership nor emitted
                 // output is sensitive to the order of tied scores (a run of
                 // equal scores never straddles a maximal-window boundary,
                 // and emission sorts member genes by id).
-                keys.clear();
-                keys.extend(
-                    scores[o0..o1]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &s)| (s, i as u32)),
+                hot_keys_into(
+                    &scores[o0..o1],
+                    self.params.epsilon,
+                    self.params.min_genes,
+                    cells,
+                    keys,
                 );
+                *sorted_keys += keys.len();
                 keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
                 hs.clear();
                 hs.extend(keys.iter().map(|&(h, _)| h));

@@ -174,6 +174,14 @@ pub struct MiningStats {
     pub pruned_duplicate: usize,
     /// Candidates cut by pruning (4) — no coherent window.
     pub pruned_coherence: usize,
+    /// Qualified (member, candidate) pairs bucketed by the nodes'
+    /// candidate scans — the work of step 5 before any window test.
+    #[serde(default)]
+    pub pairs: usize,
+    /// `(score, index)` keys handed to the per-candidate sort: the scores
+    /// the ε-cell filter could not rule out of a MinG-window.
+    #[serde(default)]
+    pub sorted_keys: usize,
 }
 
 impl MiningStats {
@@ -189,19 +197,24 @@ impl MiningStats {
         self.pruned_few_p += other.pruned_few_p;
         self.pruned_duplicate += other.pruned_duplicate;
         self.pruned_coherence += other.pruned_coherence;
+        self.pairs += other.pairs;
+        self.sorted_keys += other.sorted_keys;
     }
 
     /// Human-readable one-line summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} nodes (max depth {}), {} clusters; pruned: {} MinG, {} few-p, {} duplicate, {} coherence",
+            "{} nodes (max depth {}), {} clusters; pruned: {} MinG, {} few-p, {} duplicate, {} coherence; \
+             {} pairs, {} sorted keys",
             self.nodes,
             self.max_depth,
             self.emitted,
             self.pruned_min_genes,
             self.pruned_few_p,
             self.pruned_duplicate,
-            self.pruned_coherence
+            self.pruned_coherence,
+            self.pairs,
+            self.sorted_keys
         )
     }
 }
@@ -217,9 +230,8 @@ impl MineObserver for MiningStats {
             PruneRule::FewPMembers => self.pruned_few_p += 1,
             PruneRule::Duplicate => self.pruned_duplicate += 1,
             PruneRule::Coherence => self.pruned_coherence += 1,
-            // Not counted here: adding a field would change this struct's
-            // serialized shape (it rides in `mine --stats` JSON). Rule-2
-            // cuts are exported via `MetricsObserver` instead.
+            // Not counted here: rule-2 cuts are exported via
+            // `MetricsObserver` instead.
             PruneRule::MinConds => {}
         }
     }
@@ -299,6 +311,8 @@ mod tests {
             pruned_few_p: 0,
             pruned_duplicate: 1,
             pruned_coherence: 2,
+            pairs: 10,
+            sorted_keys: 4,
         };
         let b = MiningStats {
             nodes: 5,
@@ -308,6 +322,8 @@ mod tests {
             pruned_few_p: 3,
             pruned_duplicate: 0,
             pruned_coherence: 1,
+            pairs: 7,
+            sorted_keys: 0,
         };
         a.merge(&b);
         assert_eq!(a.nodes, 8);
@@ -317,6 +333,8 @@ mod tests {
         assert_eq!(a.pruned_few_p, 3);
         assert_eq!(a.pruned_duplicate, 1);
         assert_eq!(a.pruned_coherence, 3);
+        assert_eq!(a.pairs, 17);
+        assert_eq!(a.sorted_keys, 4);
     }
 
     #[test]

@@ -38,9 +38,13 @@ pub(crate) struct NodeScratch {
     pub mem: Vec<Member>,
     /// H-scores parallel to `mem`.
     pub scores: Vec<f64>,
-    /// Per-candidate `(score, index-in-bucket)` sort keys: sorting these
-    /// 16-byte pairs moves half the bytes the old `(f64, Member)` sort
-    /// did, and the index gathers the sorted members afterwards.
+    /// Per-slot ε-cell counts of [`hot_keys_into`](crate::coherence::hot_keys_into),
+    /// at most 4096 `u32`s.
+    pub cells: Vec<u32>,
+    /// Per-candidate `(score, index-in-bucket)` sort keys of the hot
+    /// scores: sorting these 16-byte pairs moves half the bytes the old
+    /// `(f64, Member)` sort did, and the index gathers the sorted members
+    /// afterwards.
     pub keys: Vec<(f64, u32)>,
     /// The bare score series handed to the sliding-window scan.
     pub hs: Vec<f64>,
@@ -52,6 +56,12 @@ pub(crate) struct NodeScratch {
     pub n_genes: Vec<GeneId>,
     /// Merged sorted union of `p_genes` and `n_genes`.
     pub genes: Vec<GeneId>,
+    /// Qualified (member, candidate) pairs bucketed so far, for
+    /// [`MiningStats::pairs`](crate::MiningStats::pairs).
+    pub pairs: usize,
+    /// Keys handed to the per-candidate sort so far, for
+    /// [`MiningStats::sorted_keys`](crate::MiningStats::sorted_keys).
+    pub sorted_keys: usize,
 }
 
 impl NodeScratch {

@@ -334,3 +334,174 @@ proptest! {
         prop_assert_eq!(ka, kb);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The ε-cell density filter in front of the per-candidate sort
+// (`coherence::hot_keys_into`, DESIGN.md §15.4): sorting only the hot keys
+// must yield the same maximal windows, as member sets, as sorting them all.
+// ---------------------------------------------------------------------------
+
+use regcluster_core::coherence::{hot_keys_into, maximal_windows};
+
+/// The maximal windows of at least `min_len` keys, as sorted bucket-index
+/// sets, left to right — the miner's sort-then-scan on `keys`.
+fn window_sets(mut keys: Vec<(f64, u32)>, epsilon: f64, min_len: usize) -> Vec<Vec<u32>> {
+    keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let hs: Vec<f64> = keys.iter().map(|k| k.0).collect();
+    maximal_windows(&hs, epsilon, min_len)
+        .into_iter()
+        .map(|(s, e)| {
+            let mut set: Vec<u32> = keys[s..e].iter().map(|k| k.1).collect();
+            set.sort_unstable();
+            set
+        })
+        .collect()
+}
+
+/// Filters `scores` and checks the result against sorting every key.
+fn check_filter(scores: &[f64], epsilon: f64, min_len: usize) -> Result<Vec<(f64, u32)>, String> {
+    let all: Vec<(f64, u32)> = scores
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (s, i as u32))
+        .collect();
+    let (mut table, mut hot) = (Vec::new(), Vec::new());
+    hot_keys_into(scores, epsilon, min_len, &mut table, &mut hot);
+    if !hot.windows(2).all(|w| w[0].1 < w[1].1)
+        || hot
+            .iter()
+            .any(|&(s, i)| s.to_bits() != scores[i as usize].to_bits())
+    {
+        return Err(format!("hot keys are not a bucket-order subset: {hot:?}"));
+    }
+    if table.len() > 4096 {
+        return Err(format!("residue table grew to {} slots", table.len()));
+    }
+    let want = window_sets(all, epsilon, min_len);
+    let got = window_sets(hot.clone(), epsilon, min_len);
+    if got == want {
+        Ok(hot)
+    } else {
+        Err(format!("filtered windows {got:?} != full windows {want:?}"))
+    }
+}
+
+/// Keeps every key of `scores`, and with it every window.
+fn assert_every_key_kept(scores: &[f64], epsilon: f64, min_len: usize) {
+    let hot = check_filter(scores, epsilon, min_len).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(hot.len(), scores.len(), "every key must pass: {hot:?}");
+}
+
+/// One hostile score for a bucket mined at `epsilon`: exact ties, ±0.0,
+/// subnormals, cell edges `k·ε`, dense runs a fraction of ε apart,
+/// magnitudes near 1e300, and (when `specials`) ±∞ and NaN.
+fn hostile_score(kind: u32, k: i64, frac: f64, epsilon: f64, specials: bool) -> f64 {
+    let sign = if k < 0 { -1.0 } else { 1.0 };
+    match kind {
+        0..=14 => [0.25, -1.5, 3.0][k.rem_euclid(3) as usize],
+        15..=24 => 0.0 * sign,
+        25..=34 => sign * f64::from_bits(k.unsigned_abs() * 977 + 1),
+        35..=54 => (k % 8) as f64 * epsilon,
+        55..=74 => (3.0 + frac * 2.0) * epsilon * sign,
+        75..=79 => sign * 1e300 * (1.0 + frac),
+        80 if specials => f64::INFINITY,
+        81 if specials => f64::NEG_INFINITY,
+        82 if specials => f64::NAN,
+        _ => k as f64 * 0.1 + frac,
+    }
+}
+
+/// A bucket of hostile scores, with a run of exact ε-steps (`x + ε + ε …`,
+/// by repeated addition) appended.
+fn hostile_bucket(epsilon: f64) -> impl Strategy<Value = Vec<f64>> {
+    let one = (0u32..100, -40i64..40, 0.0f64..1.0);
+    (
+        prop::collection::vec(one, 0..40),
+        any::<bool>(),
+        0usize..6,
+        -3i64..3,
+    )
+        .prop_map(move |(draws, specials, ladder, at)| {
+            let mut scores: Vec<f64> = draws
+                .into_iter()
+                .map(|(kind, k, frac)| hostile_score(kind, k, frac, epsilon, specials))
+                .collect();
+            let mut x = at as f64 * epsilon;
+            for _ in 0..ladder {
+                scores.push(x);
+                x += epsilon;
+            }
+            scores
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Kernel oracle: the filter changes no maximal window of at least
+    /// MinG scores, for ε ∈ {0, subnormal, 1e-300, 0.01, 1} and MinG in
+    /// 1..=n.
+    #[test]
+    fn hot_keys_give_the_windows_of_all_keys(
+        (scores, epsilon, min_len) in prop::sample::select(vec![0.0, 5e-324, 1e-300, 0.01, 1.0])
+            .prop_flat_map(|epsilon| (hostile_bucket(epsilon), Just(epsilon)))
+            .prop_flat_map(|(scores, epsilon)| {
+                let n = scores.len().max(1);
+                (Just(scores), Just(epsilon), 1usize..=n)
+            })
+    ) {
+        check_filter(&scores, epsilon, min_len).map_err(TestCaseError::fail)?;
+    }
+}
+
+#[test]
+fn hot_keys_pass_every_key_when_epsilon_is_not_finite_and_positive() {
+    // ε = 0 windows only exact ties; negative, NaN and infinite ε are
+    // rejected by the window scan or take everything — the filter vouches
+    // for none of them.
+    let scores = [0.5, 0.5, 2.0, 0.5, 9.0];
+    for epsilon in [0.0, -0.0, -1.0, f64::INFINITY, f64::NAN] {
+        assert_every_key_kept(&scores, epsilon, 3);
+    }
+}
+
+#[test]
+fn hot_keys_pass_every_key_when_the_inverse_epsilon_overflows() {
+    // 1 / 5e-324 = ∞: no cell can be computed.
+    assert_every_key_kept(&[0.0, 1e-320, 2.0, -0.0], 5e-324, 2);
+}
+
+#[test]
+fn hot_keys_pass_every_key_at_the_cell_limit() {
+    // |x · (1/ε)| = 2^50 is past the error bound: the whole bucket passes,
+    // even though no two scores are within ε.
+    let edge = (1u64 << 50) as f64 * 0.01;
+    assert_every_key_kept(&[edge, 0.0, 5.0, -3.0], 0.01, 2);
+    assert_every_key_kept(&[-edge, 0.0, 5.0, -3.0], 0.01, 2);
+    // Just inside the limit the bucket is vouched for and keys drop out
+    // (cells 0, 50 and 100 sit in distinct residue triples, so at most one
+    // of them can alias the large score's cell).
+    let inside = 0.99 * edge;
+    let hot = check_filter(&[inside, 0.0, 0.5, 1.0], 0.01, 2).unwrap();
+    assert!(hot.len() < 4, "{hot:?}");
+}
+
+#[test]
+fn hot_keys_pass_every_key_around_nan_and_infinite_scores() {
+    assert_every_key_kept(&[f64::INFINITY, 0.0, 5.0, f64::INFINITY], 0.01, 2);
+    assert_every_key_kept(&[f64::NEG_INFINITY, 0.0, 5.0], 0.01, 2);
+    assert_every_key_kept(&[1e300, 0.0, 5.0], 1.0, 2);
+    assert_every_key_kept(&[0.0, f64::NAN, 5.0], 0.01, 2);
+}
+
+#[test]
+fn mining_infinite_h_scores_terminates() {
+    // With γ = 0 a baseline step of 1e-300 is regulated, and the next step
+    // of 1e300 scores ∞ for both genes; the window scan must not stall on
+    // that bucket.
+    let m =
+        ExpressionMatrix::from_flat_unlabeled(2, 3, vec![0.0, 1e-300, 1e300, 0.0, 1e-300, 1e300])
+            .unwrap();
+    let params = MiningParams::new(2, 3, 0.0, 0.1).unwrap();
+    assert!(mine(&m, &params).unwrap().is_empty());
+}

@@ -312,3 +312,31 @@ fn duplicate_probes_allocate_nothing_beyond_fresh_emissions() {
         stats.pruned_duplicate
     );
 }
+
+#[test]
+fn unvouched_buckets_allocate_nothing() {
+    // At ε = 1e-300 every H-score exceeds 2^50 · ε (a qualified step is
+    // never zero), so the ε-cell filter vouches for no bucket and hands
+    // every key of every candidate to the sort — its emit-every-key path.
+    // Its residue table is grow-only like the rest of the node scratch.
+    let m = synthetic_100x30();
+    let params = MiningParams::new(4, 8, 0.1, 1e-300).unwrap();
+    let (allocs, stats) = engine_run(&m, &params);
+    assert_eq!(stats.emitted, 0, "workload must emit nothing");
+    // No window forms, so each coherence-pruned candidate sorted its whole
+    // bucket of at least MinG keys.
+    assert!(
+        stats.pruned_coherence > 0 && stats.sorted_keys >= 4 * stats.pruned_coherence,
+        "every key of a candidate must reach the sort: {stats:?}"
+    );
+    let bound = setup_bound(m.n_conditions());
+    assert!(
+        stats.nodes as u64 > bound,
+        "workload must explore more nodes ({}) than the setup bound ({bound})",
+        stats.nodes
+    );
+    assert!(
+        allocs <= bound,
+        "enumeration must allocate only its setup: {allocs} allocs > {bound} ({stats:?})"
+    );
+}
