@@ -8,7 +8,9 @@
 //! * **model build** — `Miner::new`, one `RWave^γ` model + hot table per gene;
 //! * **enumeration** — a one-thread [`MineRequest`] over every root into a
 //!   [`VecSink`], the engine path every mine runs (root seeding and buffer
-//!   growth included).
+//!   growth included). Each point repeats it at least [`MIN_REPS`] times
+//!   and until [`MIN_POINT_S`] seconds have run, and records the median
+//!   repetition, so one repetition slowed by the host moves nothing.
 //!
 //! Per-node nanoseconds (`enumerate_s / nodes`, nodes from the run's
 //! [`StreamReport`](regcluster_core::StreamReport) stats) is the headline
@@ -24,7 +26,8 @@
 //!   only; the committed baseline is left untouched;
 //! * `--check` — compare the fresh sweep against the committed baseline
 //!   and exit non-zero when any point regressed past the noise threshold
-//!   (`REGCLUSTER_PERF_THRESHOLD`, default 1.5×) or when no fresh point
+//!   (`REGCLUSTER_PERF_THRESHOLD`, default 1.5×, on the median
+//!   repetition's ns/node) or when no fresh point
 //!   shares a `#cond` with the baseline; on pass the baseline is refreshed
 //!   (full mode only);
 //! * `--check-baseline` — no mining at all: parse the committed baseline
@@ -32,7 +35,7 @@
 //!   numbers). This is the only gate CI runs on shared hardware.
 
 use regcluster_bench::{time, write_json};
-use regcluster_core::{MineRequest, Miner, MiningParams, VecSink};
+use regcluster_core::{MineRequest, Miner, MiningParams, MiningStats, VecSink};
 use regcluster_datagen::{generate, SyntheticConfig};
 use serde::{Deserialize, Serialize};
 
@@ -41,6 +44,11 @@ const BASELINE_FORMAT_VERSION: u32 = 1;
 /// Default regression threshold for `--check`: fail when a point's
 /// ns/node exceeds `threshold × baseline`.
 const DEFAULT_THRESHOLD: f64 = 1.5;
+/// Fewest enumeration repetitions per point.
+const MIN_REPS: usize = 5;
+/// Least enumeration time per point, seconds: a 5 ms point repeats ~50
+/// times, so its median is not one scheduler hiccup.
+const MIN_POINT_S: f64 = 0.25;
 
 /// Figure 7 mining parameters (panel defaults).
 const MINING_GAMMA: f64 = 0.1;
@@ -52,20 +60,29 @@ struct HotpathPoint {
     n_genes: usize,
     /// `Miner::new` (RWave models + SoA hot tables), seconds.
     model_build_s: f64,
-    /// One-thread `MineRequest` run, seconds (mean over repetitions).
+    /// One-thread `MineRequest` run, seconds: the median repetition.
     enumerate_s: f64,
+    /// Enumeration repetitions run for this point.
+    #[serde(default)]
+    repetitions: usize,
     /// Enumeration-tree nodes entered (deterministic per input).
     nodes: usize,
     clusters: usize,
     /// Headline metric: `enumerate_s * 1e9 / nodes`.
     ns_per_node: f64,
     nodes_per_s: f64,
+    /// Members walked by the nodes' candidate scans over the run.
+    #[serde(default)]
+    members: usize,
     /// Qualified (member, candidate) pairs bucketed over the run.
     #[serde(default)]
     pairs: usize,
     /// Keys the ε-cell filter handed to the per-candidate sort.
     #[serde(default)]
     sorted_keys: usize,
+    /// ε-windows that became children.
+    #[serde(default)]
+    windows: usize,
     /// `enumerate_s * 1e9 / pairs`: the per-node cost restated per unit
     /// of candidate work.
     #[serde(default)]
@@ -76,6 +93,7 @@ struct HotpathPoint {
 struct HotpathBaseline {
     format_version: u32,
     quick: bool,
+    /// Fewest repetitions of any point ([`MIN_REPS`]).
     repetitions: usize,
     mining_gamma: f64,
     mining_epsilon: f64,
@@ -123,9 +141,10 @@ fn load_baseline() -> Result<HotpathBaseline, String> {
     Ok(b)
 }
 
-/// One sweep point: build the miner (timed), then average `reps` timed
-/// one-thread engine runs over every root.
-fn run_point(n_conds: usize, reps: usize) -> HotpathPoint {
+/// One sweep point: build the miner (timed), then time one-thread engine
+/// runs over every root until there are at least [`MIN_REPS`] of them and
+/// [`MIN_POINT_S`] seconds.
+fn run_point(n_conds: usize) -> HotpathPoint {
     let cfg = SyntheticConfig {
         n_conds,
         ..SyntheticConfig::default()
@@ -136,55 +155,83 @@ fn run_point(n_conds: usize, reps: usize) -> HotpathPoint {
         MiningParams::new(min_g, 6, MINING_GAMMA, MINING_EPSILON).expect("mining params valid");
     let (miner, model_build_s) =
         time(|| Miner::new(&data.matrix, &params).expect("params validate"));
-    let mut enumerate_s = 0.0;
-    let mut stats = Default::default();
-    for _ in 0..reps {
+    let mut secs = Vec::new();
+    let mut stats = MiningStats::default();
+    while secs.len() < MIN_REPS || secs.iter().sum::<f64>() < MIN_POINT_S {
         let sink = VecSink::new();
-        let (report, secs) = time(|| MineRequest::new(&miner).run(&sink).expect("run completes"));
-        enumerate_s += secs;
+        let (report, s) = time(|| MineRequest::new(&miner).run(&sink).expect("run completes"));
+        secs.push(s);
         stats = report.0.stats;
     }
-    enumerate_s /= reps as f64;
+    point(n_conds, cfg.n_genes, model_build_s, &mut secs, &stats)
+}
+
+/// A sweep point timed by the median of its repetitions `secs`.
+fn point(
+    n_conds: usize,
+    n_genes: usize,
+    model_build_s: f64,
+    secs: &mut [f64],
+    stats: &MiningStats,
+) -> HotpathPoint {
+    secs.sort_by(f64::total_cmp);
+    let enumerate_s = secs[secs.len() / 2];
     let nodes = stats.nodes.max(1);
     HotpathPoint {
         n_conds,
-        n_genes: cfg.n_genes,
+        n_genes,
         model_build_s,
         enumerate_s,
+        repetitions: secs.len(),
         nodes,
         clusters: stats.emitted,
         ns_per_node: enumerate_s * 1e9 / nodes as f64,
         nodes_per_s: nodes as f64 / enumerate_s.max(1e-12),
+        members: stats.members,
         pairs: stats.pairs,
         sorted_keys: stats.sorted_keys,
+        windows: stats.windows,
         ns_per_pair: enumerate_s * 1e9 / stats.pairs.max(1) as f64,
     }
 }
 
 fn sweep(quick: bool) -> HotpathBaseline {
-    let (axis, reps): (&[usize], usize) = if quick {
-        (&[20, 30], 1)
+    let axis: &[usize] = if quick {
+        &[20, 30]
     } else {
-        (&[10, 15, 20, 25, 30, 35, 40], 3)
+        &[10, 15, 20, 25, 30, 35, 40]
     };
     let mut points = Vec::new();
     println!("hot-path sweep (fig7 conditions panel, #g = 3000, MinC = 6)");
     println!(
-        "{:>7} {:>12} {:>12} {:>10} {:>12} {:>10} {:>10} {:>8}",
-        "#cond", "model (s)", "enum (s)", "nodes", "ns/node", "clusters", "pairs", "sorted"
+        "{:>7} {:>12} {:>12} {:>5} {:>10} {:>12} {:>10} {:>10} {:>10} {:>8} {:>8}",
+        "#cond",
+        "model (s)",
+        "enum (s)",
+        "reps",
+        "nodes",
+        "ns/node",
+        "clusters",
+        "members",
+        "pairs",
+        "sorted",
+        "windows"
     );
     for &n_conds in axis {
-        let p = run_point(n_conds, reps);
+        let p = run_point(n_conds);
         println!(
-            "{:>7} {:>12.4} {:>12.4} {:>10} {:>12.1} {:>10} {:>10} {:>8}",
+            "{:>7} {:>12.4} {:>12.4} {:>5} {:>10} {:>12.1} {:>10} {:>10} {:>10} {:>8} {:>8}",
             p.n_conds,
             p.model_build_s,
             p.enumerate_s,
+            p.repetitions,
             p.nodes,
             p.ns_per_node,
             p.clusters,
+            p.members,
             p.pairs,
-            p.sorted_keys
+            p.sorted_keys,
+            p.windows
         );
         points.push(p);
     }
@@ -195,7 +242,7 @@ fn sweep(quick: bool) -> HotpathBaseline {
     HotpathBaseline {
         format_version: BASELINE_FORMAT_VERSION,
         quick,
-        repetitions: reps,
+        repetitions: MIN_REPS,
         mining_gamma: MINING_GAMMA,
         mining_epsilon: MINING_EPSILON,
         mean_ns_per_node: mean,
@@ -291,48 +338,61 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn sweep_of(points: &[(usize, f64)]) -> HotpathBaseline {
+    /// A sweep whose point `#cond = n` ran the repetitions `secs` over
+    /// 1000 nodes.
+    fn sweep_of(points: &[(usize, &[f64])]) -> HotpathBaseline {
+        let stats = MiningStats {
+            nodes: 1000,
+            ..MiningStats::default()
+        };
         HotpathBaseline {
             format_version: BASELINE_FORMAT_VERSION,
             quick: true,
-            repetitions: 1,
+            repetitions: MIN_REPS,
             mining_gamma: MINING_GAMMA,
             mining_epsilon: MINING_EPSILON,
             mean_ns_per_node: 1.0,
             points: points
                 .iter()
-                .map(|&(n_conds, ns_per_node)| HotpathPoint {
-                    n_conds,
-                    n_genes: 3000,
-                    model_build_s: 0.0,
-                    enumerate_s: 0.0,
-                    nodes: 1,
-                    clusters: 0,
-                    ns_per_node,
-                    nodes_per_s: 0.0,
-                    pairs: 0,
-                    sorted_keys: 0,
-                    ns_per_pair: 0.0,
-                })
+                .map(|&(n_conds, secs)| point(n_conds, 3000, 0.0, &mut secs.to_vec(), &stats))
                 .collect(),
         }
     }
 
     #[test]
     fn check_fails_when_no_point_matches() {
-        let base = sweep_of(&[(10, 100.0), (40, 100.0)]);
-        let fresh = sweep_of(&[(20, 100.0), (30, 100.0)]);
+        let base = sweep_of(&[(10, &[0.1]), (40, &[0.1])]);
+        let fresh = sweep_of(&[(20, &[0.1]), (30, &[0.1])]);
         let err = compare(&fresh, &base, DEFAULT_THRESHOLD).unwrap_err();
         assert!(err.contains("nothing compared"), "{err}");
     }
 
     #[test]
     fn check_counts_only_matched_points() {
-        let base = sweep_of(&[(20, 100.0), (40, 100.0)]);
-        let fresh = sweep_of(&[(20, 120.0), (30, 999.0)]);
+        let base = sweep_of(&[(20, &[0.100]), (40, &[0.100])]);
+        let fresh = sweep_of(&[(20, &[0.120]), (30, &[0.999])]);
         assert_eq!(compare(&fresh, &base, DEFAULT_THRESHOLD), Ok(1));
-        let slow = sweep_of(&[(20, 151.0), (30, 100.0)]);
+        let slow = sweep_of(&[(20, &[0.151]), (30, &[0.100])]);
         let err = compare(&slow, &base, DEFAULT_THRESHOLD).unwrap_err();
         assert!(err.contains("REGRESSION #cond=20"), "{err}");
+    }
+
+    /// The gate reads the median repetition: one repetition slowed 10× by
+    /// the host leaves a point's time where the others put it.
+    #[test]
+    fn one_slow_repetition_does_not_fail_the_check() {
+        let base = sweep_of(&[(10, &[0.005; 5])]);
+        let fresh = sweep_of(&[(10, &[0.005, 0.0052, 0.05, 0.0049, 0.0051])]);
+        assert_eq!(compare(&fresh, &base, DEFAULT_THRESHOLD), Ok(1));
+    }
+
+    /// A slowdown every repetition shares is a regression.
+    #[test]
+    fn steady_slowdown_fails_the_check() {
+        let base = sweep_of(&[(10, &[0.005; 5])]);
+        let fresh = sweep_of(&[(10, &[0.008, 0.0081, 0.0079, 0.008, 0.008])]);
+        let err = compare(&fresh, &base, DEFAULT_THRESHOLD).unwrap_err();
+        assert!(err.contains("REGRESSION #cond=10"), "{err}");
+        assert!(err.contains("1.60x"), "{err}");
     }
 }

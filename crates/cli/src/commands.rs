@@ -1156,13 +1156,18 @@ mod tests {
         let doc = read_mine_output(legacy_path.to_str().unwrap()).unwrap();
         assert_eq!(doc.format_version, None);
 
-        // Stats written before the `pairs` / `sorted_keys` work counters
-        // existed still read, with the counters at zero.
+        // Stats written before the `members` / `pairs` / `sorted_keys` /
+        // `windows` work counters existed still read, with the counters at
+        // zero.
         let stats = doc.stats.expect("mine writes its stats");
         assert!(stats.pairs > 0, "{stats:?}");
         let mut lines: Vec<&str> = raw
             .lines()
-            .filter(|l| !l.contains("\"pairs\"") && !l.contains("\"sorted_keys\""))
+            .filter(|l| {
+                !["\"members\"", "\"pairs\"", "\"sorted_keys\"", "\"windows\""]
+                    .iter()
+                    .any(|k| l.contains(k))
+            })
             .collect();
         let last_kept = lines
             .iter()
@@ -1173,7 +1178,15 @@ mod tests {
         std::fs::write(&older_path, lines.join("\n")).unwrap();
         let older = read_mine_output(older_path.to_str().unwrap()).unwrap();
         let older_stats = older.stats.expect("stats still read");
-        assert_eq!((older_stats.pairs, older_stats.sorted_keys), (0, 0));
+        assert_eq!(
+            (
+                older_stats.members,
+                older_stats.pairs,
+                older_stats.sorted_keys,
+                older_stats.windows
+            ),
+            (0, 0, 0, 0)
+        );
         assert_eq!(older_stats.nodes, stats.nodes);
     }
 

@@ -1112,8 +1112,11 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
             }
         }
     }
-    observer.stats.pairs += scratch.pairs;
-    observer.stats.sorted_keys += scratch.sorted_keys;
+    let work = scratch.work;
+    observer.stats.members += work.members;
+    observer.stats.pairs += work.pairs;
+    observer.stats.sorted_keys += work.sorted_keys;
+    observer.stats.windows += work.windows;
     observer.stats
 }
 

@@ -33,12 +33,13 @@ use std::sync::Mutex;
 
 use regcluster_matrix::{CondId, ExpressionMatrix, GeneId};
 
+use crate::bitset::BitMask;
 use crate::coherence::{hot_keys_into, maximal_windows_into};
 use crate::engine::{lock, MineRequest};
 use crate::intern::ClusterView;
 use crate::observer::{MineObserver, PruneRule, SyncMineObserver};
 use crate::rwave::RWaveModel;
-use crate::scratch::{ChildBuf, NodeScratch};
+use crate::scratch::{ChildBuf, Lanes, NodeScratch};
 use crate::tables::HotTables;
 use crate::{CoreError, MiningParams, RegCluster};
 
@@ -59,19 +60,6 @@ pub(crate) struct Member {
     /// The baseline difference `d[c_{k2}] − d[c_{k1}]` (signed; negative for
     /// n-members). Set when the chain reaches length 2; `0.0` before that.
     pub(crate) denom: f64,
-}
-
-/// Per-node qualification context of one member, precomputed before the
-/// candidate loop: a candidate condition at rank `r` in this member's model
-/// qualifies **iff** `lo ≤ r < hi` (the [`HotTables`] range collapsing the
-/// direction test, the regulation test, and the MinC max-chain test into
-/// two `u32` compares), and `base` caches the member's expression value at
-/// the chain tail so each candidate costs one load + one subtract.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MemberCtx {
-    pub(crate) lo: u32,
-    pub(crate) hi: u32,
-    pub(crate) base: f64,
 }
 
 /// What the emission receiver made of a validated cluster.
@@ -234,11 +222,10 @@ impl<'a> Miner<'a> {
         children.clear();
         let NodeScratch {
             cand,
-            ctx,
+            ranges,
             counts,
             offsets,
-            mem,
-            scores,
+            lanes,
             cells,
             keys,
             hs,
@@ -246,8 +233,7 @@ impl<'a> Miner<'a> {
             p_genes,
             n_genes,
             genes,
-            pairs,
-            sorted_keys,
+            work,
         } = scratch;
 
         let n_fwd = members.iter().filter(|m| m.dir == Dir::Fwd).count();
@@ -317,41 +303,28 @@ impl<'a> Miner<'a> {
         // Step 4: candidate regulation successors, scanned from p-members
         // only, with per-gene MinC pruning (2). `need` is the minimum
         // max-chain length a candidate must support: the chain grows to
-        // `len + 1` conditions and must be extensible to `MinC`.
-        //
-        // A member's candidates are always a rank *range* of its model —
-        // `[successor_start(r_last), fwd_cutoff(need))` — because the
-        // regulated successors of a rank form a rank suffix (Lemma 3.1)
-        // and the max-chain table is monotone in rank. The range is ORed
-        // into the packed candidate bitset word-parallel
-        // (`suffix(lo) & !suffix(hi)` per lane; see [`HotTables`]), and
-        // the same `[lo, hi)` bounds are cached per member as its
-        // qualification context for step 5 — by the proven pointer/value
-        // equivalence of `rwave.rs`, `lo ≤ rank(c) < hi` is bit-for-bit
-        // the old direction + regulation + max-chain test.
+        // `len + 1` conditions and must be extensible to `MinC`. A
+        // member's candidates are its rank range `[lo, hi)`
+        // ([`Miner::qual_range`]), ORed into the packed candidate bitset
+        // word-parallel (see [`HotTables`]). At depth ≥ 2 the same walk
+        // also buckets step 5's pairs ([`Miner::fill_lanes`]).
         let last = *chain.last().expect("chain is never empty here");
         let need = self.params.min_conds.saturating_sub(chain.len());
-        let n_conds = self.matrix.n_conditions();
-        let t = &self.tables;
-        let need_idx = t.need_index(need);
-        cand.prepare(n_conds);
-        cand.clear();
-        ctx.clear();
-        for m in members {
-            let r_last = t.rank_of(m.gene, last);
-            let (lo, hi) = match m.dir {
-                Dir::Fwd => {
-                    let (lo, hi) = t.fwd_range(m.gene, r_last, need_idx);
-                    t.accumulate_candidates(m.gene, lo, hi, cand);
-                    (lo, hi)
+        let need_idx = self.tables.need_index(need);
+        work.members += members.len();
+        if chain.len() == 1 {
+            cand.prepare(self.n_conditions());
+            cand.clear();
+            ranges.clear();
+            for m in members {
+                let (lo, hi) = self.qual_range(m, last, need_idx);
+                if m.dir == Dir::Fwd {
+                    self.tables.accumulate_candidates(m.gene, lo, hi, cand);
                 }
-                Dir::Bwd => t.bwd_range(m.gene, r_last, need_idx),
-            };
-            ctx.push(MemberCtx {
-                lo,
-                hi,
-                base: self.matrix.row(m.gene)[last],
-            });
+                ranges.push((lo, hi));
+            }
+        } else {
+            self.fill_lanes(members, last, need_idx, cand, lanes);
         }
         if !cand.any() {
             // Pruning (2): no candidate keeps the chain extensible to MinC,
@@ -363,130 +336,25 @@ impl<'a> Miner<'a> {
             }
             return false;
         }
-
-        // Step 5: for each candidate, select matching genes, apply the
-        // coherence sliding window, and make every validated window a child
-        // (a flat member range in `children` — no per-child `Vec`).
-        //
-        // Instead of testing every member against every candidate (a
-        // members × candidates random gather), the qualified pairs are
-        // bucketed by candidate condition with a two-pass counting sort
-        // over each member's qualifying rank range — sequential SoA walks
-        // costing O(qualified pairs). A member qualifies for exactly the
-        // conditions at ranks `[lo, hi)` of its model, so walking
-        // `conds_in_range` enumerates its pairs directly; within a bucket,
-        // members land in member order (pass 2 iterates members in order,
-        // one pair per member per condition), which is the order the old
-        // per-candidate scan produced — so the downstream sort, windows,
-        // and children are bit-identical.
-        //
-        // Forward ranges are subsets of the candidate mask by
-        // construction; backward ranges may cover non-candidate conditions
-        // (no p-member proposed them), which the old sweep never visited —
-        // the packed-bitset membership test filters them in O(1).
-        counts.resize(counts.len().max(n_conds), 0);
-        offsets.resize(offsets.len().max(n_conds + 1), 0);
-        let counts = &mut counts[..n_conds];
-        counts.fill(0);
-        for (m, cx) in members.iter().zip(ctx.iter()) {
-            match m.dir {
-                Dir::Fwd => {
-                    for &c in t.conds_in_range(m.gene, cx.lo, cx.hi) {
-                        counts[c as usize] += 1;
-                    }
-                }
-                Dir::Bwd => {
-                    for &c in t.conds_in_range(m.gene, cx.lo, cx.hi) {
-                        counts[c as usize] += cand.contains(c as usize) as u32;
-                    }
-                }
-            }
-        }
-        let mut total = 0u32;
-        for (c, &n) in counts.iter().enumerate() {
-            offsets[c] = total;
-            total += n;
-        }
-        offsets[n_conds] = total;
-        let total = total as usize;
-        *pairs += total;
-        const DUMMY: Member = Member {
-            gene: 0,
-            dir: Dir::Fwd,
-            denom: 0.0,
-        };
-
         if chain.len() == 1 {
-            // Depth-1 fast path: every score is 1.0 by definition (the
-            // appended condition forms the baseline pair with the root), so
-            // no window pass runs and every candidate becomes one child
-            // whose members are its whole bucket. Pass 2 therefore writes
-            // members straight into the child arena at their bucket slots —
-            // no intermediate score/member arenas, no per-child copy.
-            children.members.resize(total, DUMMY);
-            counts.copy_from_slice(&offsets[..n_conds]);
-            for (m, cx) in members.iter().zip(ctx.iter()) {
-                let row = self.matrix.row(m.gene);
-                for &c in t.conds_in_range(m.gene, cx.lo, cx.hi) {
-                    let c = c as usize;
-                    if m.dir == Dir::Bwd && !cand.contains(c) {
-                        continue;
-                    }
-                    let slot = counts[c] as usize;
-                    counts[c] += 1;
-                    let mut next = *m;
-                    // This step becomes the baseline pair (c_{k1}, c_{k2}).
-                    next.denom = row[c] - cx.base;
-                    children.members[slot] = next;
-                }
-            }
-            // Bit-scanning the packed words visits candidates in ascending
-            // condition order — the order the old per-condition sweep used.
-            cand.for_each(|c_i| {
-                children.index.push(crate::scratch::ChildNode {
-                    cond: c_i,
-                    start: offsets[c_i],
-                    len: offsets[c_i + 1] - offsets[c_i],
-                });
-            });
+            work.pairs +=
+                self.depth1_children(members, ranges, last, cand, counts, offsets, children);
             return false;
         }
 
-        // Pass 2: `counts` becomes the per-bucket write cursor. Members and
-        // raw steps land struct-of-arrays so the division pass below
-        // streams a plain `f64` lane.
-        mem.resize(mem.len().max(total), DUMMY);
-        scores.resize(scores.len().max(total), 0.0);
-        counts.copy_from_slice(&offsets[..n_conds]);
-        for (m, cx) in members.iter().zip(ctx.iter()) {
-            let row = self.matrix.row(m.gene);
-            for &c in t.conds_in_range(m.gene, cx.lo, cx.hi) {
-                let c = c as usize;
-                if m.dir == Dir::Bwd && !cand.contains(c) {
-                    continue;
-                }
-                let slot = counts[c] as usize;
-                counts[c] += 1;
-                mem[slot] = *m;
-                scores[slot] = row[c] - cx.base;
-            }
-        }
-        // H-scores in one dependency-free elementwise pass over the whole
-        // arena (the same IEEE divisions, in the same bucket-major order,
-        // the old per-candidate code performed).
-        for (s, m) in scores[..total].iter_mut().zip(mem[..total].iter()) {
-            *s /= m.denom;
-        }
-        // Bit-scanning the packed words visits candidates in ascending
-        // condition order — the order the old per-condition sweep used.
+        // Step 5: for each candidate, apply the coherence sliding window to
+        // its lane and make every validated window a child (a flat member
+        // range in `children` — no per-child `Vec`). Bit-scanning the
+        // packed words visits candidates in ascending condition order — the
+        // order the old per-condition sweep used.
         for (w_idx, &word) in cand.words().iter().enumerate() {
             let mut w = word;
             while w != 0 {
                 let c_i = w_idx * crate::bitset::WORD_BITS + w.trailing_zeros() as usize;
                 w &= w - 1;
-                let o0 = offsets[c_i] as usize;
-                let o1 = offsets[c_i + 1] as usize;
-                if o1 - o0 < self.params.min_genes {
+                let (lane_members, scores) = lanes.lane(c_i);
+                work.pairs += scores.len();
+                if scores.len() < self.params.min_genes {
                     // Pruning (1) fires before the coherence test when the
                     // candidate's gene set is already below MinG.
                     chain.push(c_i);
@@ -494,25 +362,24 @@ impl<'a> Miner<'a> {
                     chain.pop();
                     continue;
                 }
-                // Sort compact (score, bucket-index) keys — half the bytes
-                // of moving the members themselves — and gather members
+                // Sort compact (score, lane-index) keys and gather members
                 // through the index when emitting windows. Only the scores
                 // an ε-cell count admits to a MinG-window are keyed; the
                 // rest cannot change the maximal windows (DESIGN.md §15.4),
-                // and a bucket with no such score yields no key and falls
+                // and a lane with no such score yields no key and falls
                 // through to the coherence prune. Unstable sort: no
                 // allocation, and neither window membership nor emitted
                 // output is sensitive to the order of tied scores (a run of
                 // equal scores never straddles a maximal-window boundary,
                 // and emission sorts member genes by id).
                 hot_keys_into(
-                    &scores[o0..o1],
+                    scores,
                     self.params.epsilon,
                     self.params.min_genes,
                     cells,
                     keys,
                 );
-                *sorted_keys += keys.len();
+                work.sorted_keys += keys.len();
                 keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
                 hs.clear();
                 hs.extend(keys.iter().map(|&(h, _)| h));
@@ -524,12 +391,163 @@ impl<'a> Miner<'a> {
                     chain.pop();
                     continue;
                 }
+                work.windows += windows.len();
                 for &(s, e) in windows.iter() {
-                    children.push(c_i, keys[s..e].iter().map(|&(_, i)| mem[o0 + i as usize]));
+                    children.push(
+                        c_i,
+                        keys[s..e]
+                            .iter()
+                            .map(|&(_, i)| members[lane_members[i as usize] as usize]),
+                    );
                 }
             }
         }
         false
+    }
+
+    /// The rank range `[lo, hi)` of `m`'s model that a condition must fall
+    /// in to extend the chain ending at `last` by one step, with `need`
+    /// more conditions reachable after it. By the proven pointer/value
+    /// equivalence of `rwave.rs`, `lo ≤ rank(c) < hi` is bit-for-bit the
+    /// direction + regulation + max-chain test (the regulated successors
+    /// of a rank form a rank suffix, Lemma 3.1, and the max-chain table is
+    /// monotone in rank).
+    #[inline]
+    fn qual_range(&self, m: &Member, last: CondId, need_idx: usize) -> (u32, u32) {
+        let t = &self.tables;
+        let r_last = t.rank_of(m.gene, last);
+        match m.dir {
+            Dir::Fwd => t.fwd_range(m.gene, r_last, need_idx),
+            Dir::Bwd => t.bwd_range(m.gene, r_last, need_idx),
+        }
+    }
+
+    /// Steps 4 and 5's bucketing at depth ≥ 2, in one walk over the
+    /// members. For each member it takes the qualification range, ORs a
+    /// forward member's candidates into `cand` (cleared first), and writes
+    /// `(member index, H-score)` straight into the lane of every condition
+    /// in the range (Eq. 7's score: the step from `last` over the
+    /// member's baseline difference).
+    ///
+    /// The walk runs in member order, so each lane holds its members in
+    /// member order, the order the per-candidate scan of the paper
+    /// produces. A backward member's range may cover conditions no
+    /// p-member proposed; those lanes are filled but never read, since
+    /// step 5 visits only the lanes of `cand`'s conditions.
+    ///
+    /// Every member's range must be well formed (`lo ≤ hi`), as it is for
+    /// each member that reached a node ending at `last`: the step that
+    /// admitted it proved a chain of `need + 1` more conditions from its
+    /// rank, whose next condition lies in the range.
+    pub(crate) fn fill_lanes(
+        &self,
+        members: &[Member],
+        last: CondId,
+        need_idx: usize,
+        cand: &mut BitMask,
+        lanes: &mut Lanes,
+    ) {
+        let n_conds = self.n_conditions();
+        let t = &self.tables;
+        cand.prepare(n_conds);
+        cand.clear();
+        lanes.reset(n_conds, members.len());
+        let n = u32::try_from(members.len()).expect("node members exceed the u32 index range");
+        for (idx, m) in (0..n).zip(members) {
+            let (lo, hi) = self.qual_range(m, last, need_idx);
+            if m.dir == Dir::Fwd {
+                t.accumulate_candidates(m.gene, lo, hi, cand);
+            }
+            let row = self.matrix.row(m.gene);
+            let base = row[last];
+            for &c in t.conds_in_range(m.gene, lo, hi) {
+                let c = c as usize;
+                lanes.push(c, idx, (row[c] - base) / m.denom);
+            }
+        }
+    }
+
+    /// Step 5 at depth 1, where every H-score is 1.0 by definition (the
+    /// appended condition forms the baseline pair with the root): no
+    /// window pass runs and every candidate becomes one child whose
+    /// members are all its qualified members, with the step to it as
+    /// their baseline difference. A two-pass counting sort writes them
+    /// straight into `children` at exact-size bucket slots — lanes would
+    /// need `n_conds ×` the root's member count. Returns the number of
+    /// qualified pairs.
+    #[allow(clippy::too_many_arguments)]
+    fn depth1_children(
+        &self,
+        members: &[Member],
+        ranges: &[(u32, u32)],
+        last: CondId,
+        cand: &BitMask,
+        counts: &mut Vec<u32>,
+        offsets: &mut Vec<u32>,
+        children: &mut ChildBuf,
+    ) -> usize {
+        let n_conds = self.n_conditions();
+        let t = &self.tables;
+        counts.clear();
+        counts.resize(n_conds, 0);
+        // Forward ranges are subsets of the candidate mask by
+        // construction; backward ranges may cover non-candidate conditions
+        // (no p-member proposed them), which the packed-bitset membership
+        // test filters in O(1).
+        for (m, &(lo, hi)) in members.iter().zip(ranges) {
+            match m.dir {
+                Dir::Fwd => {
+                    for &c in t.conds_in_range(m.gene, lo, hi) {
+                        counts[c as usize] += 1;
+                    }
+                }
+                Dir::Bwd => {
+                    for &c in t.conds_in_range(m.gene, lo, hi) {
+                        counts[c as usize] += cand.contains(c as usize) as u32;
+                    }
+                }
+            }
+        }
+        offsets.clear();
+        let mut total = 0u32;
+        for &n in counts.iter() {
+            offsets.push(total);
+            total += n;
+        }
+        offsets.push(total);
+        // Pass 2: `counts` becomes the per-bucket write cursor.
+        counts.copy_from_slice(&offsets[..n_conds]);
+        const DUMMY: Member = Member {
+            gene: 0,
+            dir: Dir::Fwd,
+            denom: 0.0,
+        };
+        children.members.resize(total as usize, DUMMY);
+        for (m, &(lo, hi)) in members.iter().zip(ranges) {
+            let row = self.matrix.row(m.gene);
+            let base = row[last];
+            for &c in t.conds_in_range(m.gene, lo, hi) {
+                let c = c as usize;
+                if m.dir == Dir::Bwd && !cand.contains(c) {
+                    continue;
+                }
+                let slot = counts[c] as usize;
+                counts[c] += 1;
+                // This step becomes the baseline pair (c_{k1}, c_{k2}).
+                children.members[slot] = Member {
+                    denom: row[c] - base,
+                    ..*m
+                };
+            }
+        }
+        cand.for_each(|c_i| {
+            children.index.push(crate::scratch::ChildNode {
+                cond: c_i,
+                start: offsets[c_i],
+                len: offsets[c_i + 1] - offsets[c_i],
+            });
+        });
+        total as usize
     }
 }
 
@@ -657,6 +675,7 @@ impl SyncMineObserver for Exclusive<'_> {
 mod tests {
     use super::*;
     use crate::observer::TraceObserver;
+    use proptest::prelude::*;
 
     /// Table 1 of the paper.
     pub(crate) fn running_example() -> ExpressionMatrix {
@@ -670,6 +689,196 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// The lanes a brute-force scan expects of [`Miner::fill_lanes`]: the
+    /// candidate conditions (in a forward member's range), and for each
+    /// candidate the `(member index, H-score)` of every member whose range
+    /// holds it, in member order.
+    fn brute_force_lanes(
+        miner: &Miner<'_>,
+        members: &[Member],
+        last: CondId,
+        need_idx: usize,
+    ) -> (Vec<usize>, Vec<Vec<(u32, f64)>>) {
+        let t = &miner.tables;
+        let qualifies = |m: &Member, c: CondId| {
+            let r_last = t.rank_of(m.gene, last);
+            let (lo, hi) = match m.dir {
+                Dir::Fwd => t.fwd_range(m.gene, r_last, need_idx),
+                Dir::Bwd => t.bwd_range(m.gene, r_last, need_idx),
+            };
+            let r = t.rank_of(m.gene, c) as u32;
+            lo <= r && r < hi
+        };
+        let cand: Vec<usize> = (0..miner.n_conditions())
+            .filter(|&c| members.iter().any(|m| m.dir == Dir::Fwd && qualifies(m, c)))
+            .collect();
+        let lanes = cand
+            .iter()
+            .map(|&c| {
+                (0u32..)
+                    .zip(members)
+                    .filter(|(_, m)| qualifies(m, c))
+                    .map(|(i, m)| {
+                        let row = miner.matrix.row(m.gene);
+                        (i, (row[c] - row[last]) / m.denom)
+                    })
+                    .collect()
+            })
+            .collect();
+        (cand, lanes)
+    }
+
+    /// Fills `lanes` through [`Miner::fill_lanes`] and checks the candidate
+    /// set and every candidate lane against [`brute_force_lanes`]: member
+    /// indices in order, scores bit for bit.
+    fn check_lanes(
+        miner: &Miner<'_>,
+        members: &[Member],
+        last: CondId,
+        need_idx: usize,
+        lanes: &mut Lanes,
+    ) -> Result<(), String> {
+        let mut cand = BitMask::default();
+        miner.fill_lanes(members, last, need_idx, &mut cand, lanes);
+        let (want_cand, want_lanes) = brute_force_lanes(miner, members, last, need_idx);
+        let got_cand = crate::bitset::indices(cand.words());
+        if got_cand != want_cand {
+            return Err(format!("candidates {got_cand:?} != {want_cand:?}"));
+        }
+        for (&c, want) in want_cand.iter().zip(&want_lanes) {
+            let (idx, scores) = lanes.lane(c);
+            let got: Vec<(u32, u64)> = idx
+                .iter()
+                .zip(scores)
+                .map(|(&i, h)| (i, h.to_bits()))
+                .collect();
+            let want: Vec<(u32, u64)> = want.iter().map(|&(i, h)| (i, h.to_bits())).collect();
+            if got != want {
+                return Err(format!("lane {c}: {got:?} != {want:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Expression values with ties, signed zeros, subnormals and
+    /// magnitudes near 1e300.
+    const LANE_VALUES: [f64; 12] = [
+        0.0, -0.0, 1.0, -1.0, 2.0, 3.5, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 9.9e299,
+    ];
+    /// Baseline differences: a subnormal one under a 1e300 step makes
+    /// H = ±∞.
+    const LANE_DENOMS: [f64; 8] = [1.0, -1.0, 0.25, -3.0, 5e-324, -1e-310, 1e300, -1e300];
+    /// A drawn member: gene, forward?, baseline difference.
+    type Pick = (usize, bool, f64);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Lane oracle: on random matrices of up to 70 conditions (a
+        /// candidate bitset of two words) and random member sets of both
+        /// directions, every candidate lane equals the brute-force scan.
+        /// Each case fills the lanes twice, the second time over the first
+        /// fill's leftovers, so `reset` is checked to forget them.
+        #[test]
+        fn lanes_equal_the_brute_force_scan(
+            (n_genes, n_conds, values, picks, last, need, gamma) in (1usize..=6, prop_oneof![2usize..=70, 64usize..=70])
+                .prop_flat_map(|(n_genes, n_conds)| {
+                    (
+                        Just(n_genes),
+                        Just(n_conds),
+                        prop::collection::vec(
+                            prop::sample::select(LANE_VALUES.to_vec()),
+                            n_genes * n_conds,
+                        ),
+                        prop::collection::vec(
+                            (
+                                (0..n_genes, any::<bool>(), prop::sample::select(LANE_DENOMS.to_vec())),
+                                (0..n_genes, any::<bool>(), prop::sample::select(LANE_DENOMS.to_vec())),
+                            ),
+                            0..16,
+                        ),
+                        (0..n_conds, 0..n_conds),
+                        (0..=n_conds + 1, 0..=n_conds + 1),
+                        prop::sample::select(vec![0.0, 0.1, 0.5]),
+                    )
+                })
+        ) {
+            let m = ExpressionMatrix::from_flat_unlabeled(n_genes, n_conds, values).unwrap();
+            let params = MiningParams::new(2, 2, gamma, 0.1).unwrap();
+            let miner = Miner::new(&m, &params).unwrap();
+            let member = |(gene, fwd, denom): Pick| Member {
+                gene,
+                dir: if fwd { Dir::Fwd } else { Dir::Bwd },
+                denom,
+            };
+            // Keep the members that could reach a node ending at `last`
+            // with `need` more conditions to go: their ranges are well
+            // formed (see `fill_lanes`).
+            let members = |last: CondId, need: usize, pick: fn(&(Pick, Pick)) -> Pick, n: usize| {
+                let need_idx = miner.tables.need_index(need);
+                let members: Vec<Member> = picks
+                    .iter()
+                    .take(n)
+                    .map(|p| member(pick(p)))
+                    .filter(|m| {
+                        let (lo, hi) = miner.qual_range(m, last, need_idx);
+                        lo <= hi
+                    })
+                    .collect();
+                (members, need_idx)
+            };
+            let mut lanes = Lanes::default();
+            let (first, need_idx) = members(last.0, need.0, |p| p.0, picks.len());
+            check_lanes(&miner, &first, last.0, need_idx, &mut lanes)
+                .map_err(TestCaseError::fail)?;
+            let (second, need_idx) = members(last.1, need.1, |p| p.1, picks.len() / 2);
+            check_lanes(&miner, &second, last.1, need_idx, &mut lanes)
+                .map_err(TestCaseError::fail)?;
+        }
+    }
+
+    /// A backward member's range may cover a condition no forward member
+    /// proposed. Its pair lands in that condition's lane, which is not a
+    /// candidate, so step 5 never reads it; the candidate lanes hold
+    /// exactly the brute-force pairs.
+    #[test]
+    fn backward_ranges_over_non_candidates_stay_out_of_candidate_lanes() {
+        // Chain tail c1. g0 rises only to c2, so c2 is the one candidate;
+        // g1 falls from c1 to both c2 and c3.
+        let m = ExpressionMatrix::from_flat_unlabeled(
+            2,
+            4,
+            vec![
+                0.0, 1.0, 2.0, 0.5, //
+                5.0, 2.0, 1.0, 0.0,
+            ],
+        )
+        .unwrap();
+        let params = MiningParams::new(2, 2, 0.0, 0.1).unwrap();
+        let miner = Miner::new(&m, &params).unwrap();
+        let members = [
+            Member {
+                gene: 0,
+                dir: Dir::Fwd,
+                denom: 2.0,
+            },
+            Member {
+                gene: 1,
+                dir: Dir::Bwd,
+                denom: -4.0,
+            },
+        ];
+        let need_idx = miner.tables.need_index(0);
+        let mut lanes = Lanes::default();
+        check_lanes(&miner, &members, 1, need_idx, &mut lanes).unwrap();
+        let mut cand = BitMask::default();
+        miner.fill_lanes(&members, 1, need_idx, &mut cand, &mut lanes);
+        assert_eq!(crate::bitset::indices(cand.words()), vec![2]);
+        assert_eq!(lanes.lane(2), (&[0u32, 1][..], &[0.5, 0.25][..]));
+        // The backward pair at c3 was written, and is never read.
+        assert_eq!(lanes.lane(3), (&[1u32][..], &[0.5][..]));
     }
 
     #[test]

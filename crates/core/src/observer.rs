@@ -174,6 +174,10 @@ pub struct MiningStats {
     pub pruned_duplicate: usize,
     /// Candidates cut by pruning (4) — no coherent window.
     pub pruned_coherence: usize,
+    /// Members walked by the nodes' candidate scans (step 4), summed over
+    /// the nodes that reached it.
+    #[serde(default)]
+    pub members: usize,
     /// Qualified (member, candidate) pairs bucketed by the nodes'
     /// candidate scans — the work of step 5 before any window test.
     #[serde(default)]
@@ -182,6 +186,11 @@ pub struct MiningStats {
     /// the ε-cell filter could not rule out of a MinG-window.
     #[serde(default)]
     pub sorted_keys: usize,
+    /// Maximal ε-windows of at least MinG genes that became children
+    /// (depth ≥ 2; a depth-1 candidate becomes a child without a window
+    /// scan).
+    #[serde(default)]
+    pub windows: usize,
 }
 
 impl MiningStats {
@@ -197,15 +206,17 @@ impl MiningStats {
         self.pruned_few_p += other.pruned_few_p;
         self.pruned_duplicate += other.pruned_duplicate;
         self.pruned_coherence += other.pruned_coherence;
+        self.members += other.members;
         self.pairs += other.pairs;
         self.sorted_keys += other.sorted_keys;
+        self.windows += other.windows;
     }
 
     /// Human-readable one-line summary.
     pub fn summary(&self) -> String {
         format!(
             "{} nodes (max depth {}), {} clusters; pruned: {} MinG, {} few-p, {} duplicate, {} coherence; \
-             {} pairs, {} sorted keys",
+             {} members, {} pairs, {} sorted keys, {} windows",
             self.nodes,
             self.max_depth,
             self.emitted,
@@ -213,8 +224,10 @@ impl MiningStats {
             self.pruned_few_p,
             self.pruned_duplicate,
             self.pruned_coherence,
+            self.members,
             self.pairs,
-            self.sorted_keys
+            self.sorted_keys,
+            self.windows
         )
     }
 }
@@ -311,8 +324,10 @@ mod tests {
             pruned_few_p: 0,
             pruned_duplicate: 1,
             pruned_coherence: 2,
+            members: 6,
             pairs: 10,
             sorted_keys: 4,
+            windows: 2,
         };
         let b = MiningStats {
             nodes: 5,
@@ -322,8 +337,10 @@ mod tests {
             pruned_few_p: 3,
             pruned_duplicate: 0,
             pruned_coherence: 1,
+            members: 5,
             pairs: 7,
             sorted_keys: 0,
+            windows: 1,
         };
         a.merge(&b);
         assert_eq!(a.nodes, 8);
@@ -333,8 +350,10 @@ mod tests {
         assert_eq!(a.pruned_few_p, 3);
         assert_eq!(a.pruned_duplicate, 1);
         assert_eq!(a.pruned_coherence, 3);
+        assert_eq!(a.members, 11);
         assert_eq!(a.pairs, 17);
         assert_eq!(a.sorted_keys, 4);
+        assert_eq!(a.windows, 3);
     }
 
     #[test]

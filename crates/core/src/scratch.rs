@@ -11,7 +11,7 @@ use regcluster_matrix::{CondId, GeneId};
 
 use crate::bitset::BitMask;
 use crate::coherence::Window;
-use crate::miner::{Member, MemberCtx};
+use crate::miner::Member;
 
 /// Per-node working buffers of `expand_node`, reused across every node of a
 /// traversal. Each buffer is cleared (never shrunk) on use, so after the
@@ -21,30 +21,23 @@ pub(crate) struct NodeScratch {
     /// Packed candidate-condition bitset (one bit per condition); cleared
     /// per node by zeroing its words.
     pub cand: BitMask,
-    /// Per-member qualification context, parallel to the node's member
-    /// slice: the rank range `[lo, hi)` a candidate's rank must fall in,
-    /// plus the member's expression value at the chain tail. Computed once
-    /// per node instead of once per candidate × member.
-    pub ctx: Vec<MemberCtx>,
-    /// Per-condition bucket sizes (pass 1 of the counting sort), reused
-    /// as write cursors in pass 2.
+    /// Depth 1 only: each member's qualification range, parallel to the
+    /// node's member slice.
+    pub ranges: Vec<(u32, u32)>,
+    /// Depth 1 only: per-condition bucket sizes (pass 1 of the counting
+    /// sort), reused as write cursors in pass 2.
     pub counts: Vec<u32>,
-    /// Per-condition bucket offsets into the member/score arenas:
-    /// candidate `c`'s qualified entries are `[offsets[c], offsets[c + 1])`.
+    /// Depth 1 only: per-condition bucket offsets into the child arena:
+    /// candidate `c`'s members are `[offsets[c], offsets[c + 1])`.
     pub offsets: Vec<u32>,
-    /// Flat member arena holding every candidate's qualified members back
-    /// to back, bucketed by candidate condition (struct-of-arrays with
-    /// `scores` so the H division pass streams plain `f64`s).
-    pub mem: Vec<Member>,
-    /// H-scores parallel to `mem`.
-    pub scores: Vec<f64>,
+    /// Depth ≥ 2: the node's (member, H-score) pairs, one lane per
+    /// condition.
+    pub lanes: Lanes,
     /// Per-slot ε-cell counts of [`hot_keys_into`](crate::coherence::hot_keys_into),
     /// at most 4096 `u32`s.
     pub cells: Vec<u32>,
-    /// Per-candidate `(score, index-in-bucket)` sort keys of the hot
-    /// scores: sorting these 16-byte pairs moves half the bytes the old
-    /// `(f64, Member)` sort did, and the index gathers the sorted members
-    /// afterwards.
+    /// Per-candidate `(score, index-in-lane)` sort keys of the hot
+    /// scores: the index gathers the sorted members afterwards.
     pub keys: Vec<(f64, u32)>,
     /// The bare score series handed to the sliding-window scan.
     pub hs: Vec<f64>,
@@ -56,12 +49,9 @@ pub(crate) struct NodeScratch {
     pub n_genes: Vec<GeneId>,
     /// Merged sorted union of `p_genes` and `n_genes`.
     pub genes: Vec<GeneId>,
-    /// Qualified (member, candidate) pairs bucketed so far, for
-    /// [`MiningStats::pairs`](crate::MiningStats::pairs).
-    pub pairs: usize,
-    /// Keys handed to the per-candidate sort so far, for
-    /// [`MiningStats::sorted_keys`](crate::MiningStats::sorted_keys).
-    pub sorted_keys: usize,
+    /// Work counted so far, folded into the worker's
+    /// [`MiningStats`](crate::MiningStats) when it finishes.
+    pub work: WorkCounts,
 }
 
 impl NodeScratch {
@@ -71,6 +61,63 @@ impl NodeScratch {
             cand: BitMask::with_bits(n_conds),
             ..NodeScratch::default()
         }
+    }
+}
+
+/// The work counters of [`MiningStats`](crate::MiningStats) that are not
+/// observer events; see its fields for their meaning.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct WorkCounts {
+    pub members: usize,
+    pub pairs: usize,
+    pub sorted_keys: usize,
+    pub windows: usize,
+}
+
+/// The (member, H-score) pairs of one node, bucketed by candidate
+/// condition. Lane `c` is the slots `[c · stride, c · stride + len[c])` of
+/// two parallel arenas, `stride` being the node's member count: a member
+/// adds at most one pair per condition, so `stride` slots always suffice
+/// and no counting pass has to size the lanes first. The arenas take
+/// `n_conds × stride × 12` bytes; they grow only when a node needs more
+/// and are never shrunk.
+#[derive(Debug, Default)]
+pub(crate) struct Lanes {
+    stride: usize,
+    len: Vec<u32>,
+    members: Vec<u32>,
+    scores: Vec<f64>,
+}
+
+impl Lanes {
+    /// Empties `n_conds` lanes of `stride` slots each.
+    pub fn reset(&mut self, n_conds: usize, stride: usize) {
+        self.stride = stride;
+        self.len.clear();
+        self.len.resize(n_conds, 0);
+        let slots = n_conds * stride;
+        if self.members.len() < slots {
+            self.members.resize(slots, 0);
+            self.scores.resize(slots, 0.0);
+        }
+    }
+
+    /// Appends the pair `(member, score)` to lane `c`.
+    #[inline]
+    pub fn push(&mut self, c: usize, member: u32, score: f64) {
+        let n = self.len[c] as usize;
+        debug_assert!(n < self.stride, "lane {c} overflows");
+        let slot = c * self.stride + n;
+        self.len[c] += 1;
+        self.members[slot] = member;
+        self.scores[slot] = score;
+    }
+
+    /// Lane `c`: member indices and their H-scores, in push order.
+    pub fn lane(&self, c: usize) -> (&[u32], &[f64]) {
+        let start = c * self.stride;
+        let end = start + self.len[c] as usize;
+        (&self.members[start..end], &self.scores[start..end])
     }
 }
 

@@ -76,17 +76,19 @@ proptest! {
 
     /// The merged per-worker statistics equal a one-thread observer's totals
     /// at every thread count: first-arrival duplicate pruning keeps the event
-    /// multiset invariant (DESIGN.md §7.6). The work counters (`pairs`,
-    /// `sorted_keys`) are not events; workers partition the tree, so they
-    /// too must match the one-thread run's.
+    /// multiset invariant (DESIGN.md §7.6). The work counters (`members`,
+    /// `pairs`, `sorted_keys`, `windows`) are not events; workers partition
+    /// the tree, so they too must match the one-thread run's.
     #[test]
     fn engine_stats_match_sequential((m, params) in matrix_strategy()) {
         let mut seq_stats = MiningStats::default();
         regcluster_core::mine_with_observer(&m, &params, &mut seq_stats)
             .expect("one-thread mining succeeds");
         let one = collect(&m, &params, 1).stats;
+        seq_stats.members = one.members;
         seq_stats.pairs = one.pairs;
         seq_stats.sorted_keys = one.sorted_keys;
+        seq_stats.windows = one.windows;
         for threads in [1usize, 2, 4, 8] {
             let report = collect(&m, &params, threads);
             prop_assert_eq!(&report.stats, &seq_stats, "threads = {}", threads);

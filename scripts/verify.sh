@@ -33,9 +33,11 @@ cargo test -q -p regcluster-cluster --lib coordinator
 cargo test -q -p regcluster-core --test fault --test checkpoint
 cargo test -q -p regcluster-cli --test binary -- failpoints_env interrupted_mine
 
-echo "==> hot path exactness (ε-cell filter oracle, emit-every-key regressions, non-finite window scan, zero-alloc)"
+echo "==> hot path exactness (ε-cell filter and lane oracles, emit-every-key regressions, non-finite window scan, hotpath gate, zero-alloc)"
 cargo test -q --release -p regcluster-core --test properties -- hot_keys mining_infinite_h_scores_terminates
 cargo test -q --release -p regcluster-core --lib coherence
+cargo test -q --release -p regcluster-core --lib -- lanes_equal_the_brute_force_scan backward_ranges_over_non_candidates
+cargo test -q --release -p regcluster-bench --bin hotpath
 # Release build: the alloc suite bounds the engine path users run.
 cargo test -q --release --test alloc
 
