@@ -1271,7 +1271,8 @@ mod tests {
             "{json_text}"
         );
         assert!(json_text.contains("regcluster_mine_pruned_subtrees_total"));
-        serde_json::parse_value_str(&json_text).expect("metrics JSON must be valid JSON");
+        serde_json::from_str::<serde_json::Value>(&json_text)
+            .expect("metrics JSON must be valid JSON");
     }
 
     /// `mine --store` streams the clusters into a queryable store whose

@@ -78,7 +78,7 @@ fn every_engine_mines_to_a_queryable_store_with_provenance() {
         assert_eq!(cs.engine(), Some(name), "store provenance engine");
         let stored: Vec<regcluster_core::RegCluster> = cs.iter().collect::<Result<_, _>>().unwrap();
         let doc = std::fs::read_to_string(&found).unwrap();
-        let parsed = serde_json::parse_value_str(&doc).unwrap();
+        let parsed = serde_json::from_str::<serde_json::Value>(&doc).unwrap();
         let doc_engine = match &parsed {
             serde_json::Value::Object(map) => map.iter().find(|(k, _)| k == "engine").cloned(),
             other => panic!("{name}: output is not an object: {other:?}"),
@@ -97,7 +97,7 @@ fn every_engine_mines_to_a_queryable_store_with_provenance() {
             let ep = cs
                 .engine_params_json()
                 .unwrap_or_else(|| panic!("{name}: engine params missing"));
-            serde_json::parse_value_str(ep)
+            serde_json::from_str::<serde_json::Value>(ep)
                 .unwrap_or_else(|e| panic!("{name}: engine params not JSON: {e}"));
         }
 

@@ -166,7 +166,7 @@ mod tests {
             assert_eq!(engine.name(), name);
             // Every params_json is a parseable JSON object.
             let json = engine.params_json();
-            serde_json::parse_value_str(&json)
+            serde_json::from_str::<serde_json::Value>(&json)
                 .unwrap_or_else(|e| panic!("{name} params_json invalid: {e} in {json}"));
         }
     }

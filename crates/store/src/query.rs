@@ -5,6 +5,8 @@
 //! result id. The posting lists are sorted, so conjunctions are linear-time
 //! sorted-merge intersections and disjunctions are k-way merges.
 
+use std::cmp::Reverse;
+
 use regcluster_core::RegCluster;
 
 use crate::error::StoreError;
@@ -126,17 +128,30 @@ impl ClusterStore {
             let (g, c) = self.cluster_dims(id).expect("candidate id in bounds");
             g >= q.min_genes && c >= q.min_conds
         };
-        let mut ids: Vec<u32> = match candidates {
+        let ids: Vec<u32> = match candidates {
             Some(c) => c.into_iter().filter(|&id| size_ok(id)).collect(),
             None => (0..self.n_clusters()).filter(|&id| size_ok(id)).collect(),
         };
 
         if let Some(k) = q.top_k {
-            ids.sort_by_key(|&id| {
-                let (g, c) = self.cluster_dims(id).expect("id in bounds");
-                (std::cmp::Reverse(u64::from(g) * u64::from(c)), id)
-            });
-            ids.truncate(k);
+            // Each key is computed once; ids make the keys unique, so the
+            // partial selection keeps the same ids, in the same order, as a
+            // full sort truncated to k.
+            let mut keyed: Vec<(Reverse<u64>, u32)> = ids
+                .into_iter()
+                .map(|id| {
+                    let (g, c) = self.cluster_dims(id).expect("id in bounds");
+                    (Reverse(u64::from(g) * u64::from(c)), id)
+                })
+                .collect();
+            if k < keyed.len() {
+                if k > 0 {
+                    keyed.select_nth_unstable(k - 1);
+                }
+                keyed.truncate(k);
+            }
+            keyed.sort_unstable();
+            return Ok(keyed.into_iter().map(|(_, id)| id).collect());
         }
         Ok(ids)
     }

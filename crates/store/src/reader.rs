@@ -124,14 +124,14 @@ impl ClusterStore {
         // memory (the file itself is never rewritten), then read the two
         // typed views off the migrated tree. Keys neither view knows stay
         // in `meta` untouched — forward compatibility for minor writers.
-        let mut meta = serde_json::parse_value_str(params_str)
+        let mut meta = serde_json::from_str::<Value>(params_str)
             .map_err(|e| StoreError::Metadata(format!("params JSON unreadable: {e}")))?;
         migrations::upgrade(version, &mut meta)?;
-        let params = MiningParams::from_json_value(&meta)
+        let params: MiningParams = serde_json::from_value(meta.clone())
             .map_err(|e| StoreError::Metadata(format!("params JSON unreadable: {e}")))?;
         // Same JSON object, second view: older stores simply lack the
         // provenance keys, which deserialize to `None`.
-        let provenance = Provenance::from_json_value(&meta)
+        let provenance: Provenance = serde_json::from_value(meta.clone())
             .map_err(|e| StoreError::Metadata(format!("provenance JSON unreadable: {e}")))?;
 
         let gene_names = decode_dict(section(SectionId::GeneDict), n_genes, "gene-dict")?;

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use regcluster_core::{ClusterSink, MiningParams, RegCluster};
-use serde::{Serialize, Value};
+use serde::Value;
 
 use crate::error::StoreError;
 use crate::format::{
@@ -221,7 +221,7 @@ impl StoreWriter {
         params: &MiningParams,
         provenance: &StoreProvenance,
     ) -> Result<Self, StoreError> {
-        let Value::Object(params_pairs) = params.to_json_value() else {
+        let Ok(Value::Object(params_pairs)) = serde_json::to_value(params) else {
             return Err(StoreError::Metadata(
                 "mining parameters did not serialize to an object".into(),
             ));
@@ -267,7 +267,7 @@ impl StoreWriter {
         cond_names: &[String],
         meta_json: &str,
     ) -> Result<Self, StoreError> {
-        let doc = serde_json::parse_value_str(meta_json)
+        let doc = serde_json::from_str::<Value>(meta_json)
             .map_err(|e| StoreError::Metadata(format!("meta JSON unreadable: {e}")))?;
         if !matches!(doc, Value::Object(_)) {
             return Err(StoreError::Metadata("meta JSON is not an object".into()));

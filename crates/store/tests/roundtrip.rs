@@ -8,7 +8,7 @@ use regcluster_core::{mine, ClusterSink, MineRequest, Miner, MiningParams, RegCl
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
 use regcluster_store::{ClusterStore, Query, StoreProvenance, StoreWriter};
-use serde::{Serialize as _, Value};
+use serde::Value;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("regcluster-store-{}", std::process::id()));
@@ -368,6 +368,82 @@ fn random_value(rng: &mut Rng, depth: u32) -> Value {
     }
 }
 
+/// `k` distinct ids below `n`, ascending.
+fn distinct(rng: &mut Rng, n: usize, k: usize) -> Vec<usize> {
+    let mut pool: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = i + rng.below((n - i) as u64) as usize;
+        pool.swap(i, j);
+    }
+    pool.truncate(k);
+    pool.sort_unstable();
+    pool
+}
+
+#[test]
+fn top_k_equals_the_full_sort_truncated() {
+    // Random stores of small clusters, so many share a cell count: `top_k`
+    // must return exactly the matches a full sort by (cells descending, id
+    // ascending) puts first, for k = 0, 1, past the match count and between.
+    let params = MiningParams::new(2, 2, 0.1, 0.05).unwrap();
+    let mut rng = Rng(0x7091_c0de_5eed_0001);
+    let mut straddled_ties = 0;
+    for case in 0..48 {
+        let n_genes = 4 + rng.below(10) as usize;
+        let n_conds = 3 + rng.below(5) as usize;
+        let gene_names: Vec<String> = (0..n_genes).map(|g| format!("g{g}")).collect();
+        let cond_names: Vec<String> = (0..n_conds).map(|c| format!("c{c}")).collect();
+        let mut clusters: Vec<RegCluster> = Vec::new();
+        for _ in 0..rng.below(40) {
+            let chain_len = 1 + rng.below(3) as usize;
+            let chain = distinct(&mut rng, n_conds, chain_len);
+            let n_members = 1 + rng.below(3) as usize;
+            let members = distinct(&mut rng, n_genes, n_members);
+            let split = 1 + rng.below(members.len() as u64) as usize;
+            let c = RegCluster {
+                chain,
+                p_members: members[..split].to_vec(),
+                n_members: members[split..].to_vec(),
+            };
+            if !clusters.contains(&c) {
+                clusters.push(c);
+            }
+        }
+        let path = tmp(&format!("top-k-{case}.rcs"));
+        let w = StoreWriter::create(&path, &gene_names, &cond_names, &params).unwrap();
+        for c in &clusters {
+            w.write_cluster(c).unwrap();
+        }
+        w.finish().unwrap();
+        let store = ClusterStore::open(&path).unwrap();
+        let stored = read_all(&store);
+
+        let queries = [
+            Query::new(),
+            Query::new().with_cond(rng.below(n_conds as u64) as u32),
+            Query::new().with_gene(rng.below(n_genes as u64) as u32),
+            Query::new().with_min_genes(2),
+        ];
+        for q in queries {
+            let mut sorted = store.query(&q).unwrap();
+            sorted.sort_by_key(|&id| (std::cmp::Reverse(stored[id as usize].n_cells()), id));
+            let n = sorted.len();
+            for k in [0, 1, 2, n / 2, n.saturating_sub(1), n, n + 3] {
+                let got = store.query(&q.clone().with_top_k(k)).unwrap();
+                assert_eq!(got, sorted[..k.min(n)], "case {case}, {q:?}, k = {k}");
+                let cells = |i: usize| stored[sorted[i] as usize].n_cells();
+                if 0 < k && k < n && cells(k - 1) == cells(k) {
+                    straddled_ties += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        straddled_ties > 0,
+        "no case cut k through a run of tied cell counts"
+    );
+}
+
 #[test]
 fn unknown_meta_keys_roundtrip_untouched_and_never_fail_open() {
     // The forward-compatibility property `create_with_meta_json`'s docs
@@ -381,7 +457,7 @@ fn unknown_meta_keys_roundtrip_untouched_and_never_fail_open() {
         p_members: vec![0],
         n_members: vec![],
     };
-    let Value::Object(params_pairs) = params.to_json_value() else {
+    let Ok(Value::Object(params_pairs)) = serde_json::to_value(&params) else {
         panic!("params serialize to an object");
     };
 
@@ -413,7 +489,7 @@ fn unknown_meta_keys_roundtrip_untouched_and_never_fail_open() {
 
         let store = ClusterStore::open(&path)
             .unwrap_or_else(|e| panic!("case {case}: store with unknown keys failed open: {e}"));
-        let reread = serde_json::parse_value_str(&store.meta_json()).unwrap();
+        let reread = serde_json::from_str::<Value>(&store.meta_json()).unwrap();
         assert_eq!(
             reread, doc,
             "case {case}: META drifted through the round trip"
@@ -437,7 +513,7 @@ fn v1_headers_are_migrated_in_memory_on_open() {
     let path = tmp("v1-migrate.rcs");
     let meta = format!(
         r#"{{"vintage_note":"pre-generation era",{}}}"#,
-        serde_json::to_string(&params.to_json_value())
+        serde_json::to_string(&serde_json::to_value(&params).unwrap())
             .unwrap()
             .trim_start_matches('{')
             .trim_end_matches('}')
@@ -464,7 +540,7 @@ fn v1_headers_are_migrated_in_memory_on_open() {
     assert!(store.root_fingerprints().is_none());
     assert_eq!(store.params(), &params);
     assert_eq!(read_all(&store), mined);
-    let reread = serde_json::parse_value_str(&store.meta_json()).unwrap();
+    let reread = serde_json::from_str::<Value>(&store.meta_json()).unwrap();
     assert_eq!(
         reread.field("vintage_note"),
         Ok(&Value::Str("pre-generation era".into())),

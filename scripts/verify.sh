@@ -41,9 +41,12 @@ cargo test -q --release -p regcluster-bench --bin hotpath
 # Release build: the alloc suite bounds the engine path users run.
 cargo test -q --release --test alloc
 
-echo "==> serve smoke (concurrent clients, overload shedding, graceful shutdown, HTTP server and parser fuzz)"
+echo "==> serve smoke (concurrent clients, overload shedding, graceful shutdown, HTTP server and parser fuzz, JSON bytes against the tree-emitter oracle, top=k against a full sort, serializer allocation bound)"
 cargo test -q -p regcluster-cli --test serve_smoke
 cargo test -q -p regcluster-cluster --lib http
+cargo test -q -p regcluster-cli --test json_bytes --test alloc
+cargo test -q -p serde_json
+cargo test -q -p regcluster-store --test roundtrip -- top_k
 
 echo "==> cluster smoke (coordinator/worker/replica processes, SIGKILL + restart, torn uploads, journal replay, network faults, golden merges)"
 if [[ "$QUICK" == 1 ]]; then
