@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use regcluster_bench::mine_static_roots;
-use regcluster_core::{mine, MineRequest, Miner, MiningParams, NoopObserver};
+use regcluster_core::{mine, MineRequest, Miner, MiningParams};
 use regcluster_datagen::{generate, running_example, SyntheticConfig};
 
 fn bench_running_example(c: &mut Criterion) {
@@ -62,7 +62,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("static", threads), &threads, |b, &n| {
             b.iter(|| {
                 let miner = Miner::new(&data.matrix, &params).expect("valid");
-                black_box(mine_static_roots(&miner, &params, &vec![NoopObserver; n]))
+                black_box(mine_static_roots(&miner, &params, n))
             });
         });
     }

@@ -2,7 +2,8 @@
 //! actually carries the search, measured instead of asserted.
 //!
 //! A `MetricsObserver` (crates/obs registry instruments) rides along a γ
-//! sweep on the simulated yeast benchmark and reports, per run: nodes
+//! sweep on the simulated yeast benchmark, takes each run's stats when it
+//! returns, and reports, per run: nodes
 //! entered, clusters emitted, and subtrees killed by each pruning rule —
 //! the numbers the granular/fuzzy biclustering follow-ups use to justify
 //! their heuristics, here for reg-cluster's own five rules. Expected
@@ -21,7 +22,7 @@
 use regcluster_bench::{quick_mode, time, write_json, write_text};
 use regcluster_core::metrics::{MINE_EMITTED_METRIC, MINE_NODES_METRIC, MINE_PRUNED_METRIC};
 use regcluster_core::observer::PruneRule;
-use regcluster_core::{mine_with_observer, MetricsObserver, MiningParams};
+use regcluster_core::{MetricsObserver, MineRequest, Miner, MiningParams};
 use regcluster_datagen::{yeast_like, YeastConfig};
 use regcluster_obs::MetricsRegistry;
 use serde::Serialize;
@@ -79,10 +80,13 @@ fn main() {
     for &(gamma, min_c) in &sweeps {
         // A fresh registry per run keeps each snapshot a single run's worth.
         let registry = MetricsRegistry::new();
-        let mut observer = MetricsObserver::register(&registry);
+        let observer = MetricsObserver::register(&registry);
         let params = MiningParams::new(20, min_c, gamma, 1.0).expect("valid parameters");
-        let (result, secs) = time(|| mine_with_observer(&data.matrix, &params, &mut observer));
-        let _ = result.expect("mining succeeds");
+        let (result, secs) = time(|| {
+            let miner = Miner::new(&data.matrix, &params)?;
+            MineRequest::new(&miner).observer(&observer).collect()
+        });
+        observer.record_run(&result.expect("mining succeeds").0.stats);
 
         let get = |name: &str, help: &str| registry.counter(name, help, &[]).get();
         let nodes = get(

@@ -12,54 +12,17 @@
 //! For every (strategy × thread count) point the binary reports wall-clock
 //! time and, because wall-clock speedup is meaningless on single-CPU runners,
 //! a hardware-independent **load-balance** metric: each worker's share of the
-//! enumeration nodes it expanded. `max_share ≈ 1/threads` means the schedule
-//! would scale on real cores; `max_share ≈ 1` means one worker did
-//! everything. Results go to `results/thread_scaling.json`.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread::ThreadId;
+//! enumeration nodes it expanded, read from the per-worker counts the runs
+//! report (no observer rides along, so both strategies are timed alike).
+//! `max_share ≈ 1/threads` means the schedule would scale on real cores;
+//! `max_share ≈ 1` means one worker did everything. Results go to
+//! `results/thread_scaling.json`.
 
 use regcluster_bench::{mine_static_roots, quick_mode, time, write_json};
-use regcluster_core::{MineRequest, Miner, MiningParams, SyncMineObserver};
+use regcluster_core::{finalize_clusters, MineRequest, Miner, MiningParams, VecSink};
 use regcluster_datagen::{generate, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
 use serde::Serialize;
-
-/// Counts enumeration nodes per engine worker thread.
-#[derive(Default)]
-struct PerWorkerNodes {
-    counts: Mutex<HashMap<ThreadId, usize>>,
-}
-
-impl PerWorkerNodes {
-    fn counts(&self) -> Vec<usize> {
-        let counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
-        counts.values().copied().collect()
-    }
-}
-
-impl SyncMineObserver for PerWorkerNodes {
-    fn node_entered(&self, _chain: &[usize], _n_p: usize, _n_n: usize) {
-        *self
-            .counts
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(std::thread::current().id())
-            .or_insert(0) += 1;
-    }
-}
-
-/// Counts the enumeration nodes of one static-split worker.
-#[derive(Default)]
-struct NodeCount(AtomicUsize);
-
-impl SyncMineObserver for NodeCount {
-    fn node_entered(&self, _chain: &[usize], _n_p: usize, _n_n: usize) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// The busiest worker's fraction of all nodes.
 fn max_share(counts: &[usize]) -> f64 {
@@ -103,20 +66,14 @@ fn run_point(
         let ((clusters, counts), secs) = time(|| {
             let miner = Miner::new(m, params).expect("valid params");
             if strategy == "stealing" {
-                let observer = PerWorkerNodes::default();
-                let request = MineRequest::new(&miner)
-                    .threads(threads)
-                    .observer(&observer);
-                let (report, _) = request.collect().expect("mining succeeds");
-                (report.clusters, observer.counts())
+                let sink = VecSink::new();
+                let request = MineRequest::new(&miner).threads(threads);
+                let (report, _) = request.run(&sink).expect("mining succeeds");
+                let mut clusters = sink.into_clusters();
+                finalize_clusters(&mut clusters, params);
+                (clusters, report.worker_nodes)
             } else {
-                let workers: Vec<NodeCount> = (0..threads).map(|_| NodeCount::default()).collect();
-                let clusters = mine_static_roots(&miner, params, &workers);
-                let counts = workers
-                    .iter()
-                    .map(|w| w.0.load(Ordering::Relaxed))
-                    .collect();
-                (clusters, counts)
+                mine_static_roots(&miner, params, threads)
             }
         });
         total += secs;

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use regcluster_core::{
     finalize_clusters, mine_prepared_roots_to_sink, EngineConfig, MineControl, Miner, MiningParams,
-    RegCluster, SyncMineObserver, VecSink,
+    NoopObserver, RegCluster, VecSink,
 };
 use serde::Serialize;
 
@@ -31,47 +31,56 @@ pub struct SeriesPoint {
 }
 
 /// Mines every root of `miner` with the static per-root split that the
-/// work-stealing engine replaced, for the thread-scaling comparison: one
-/// worker per entry of `observers` takes whole roots from a shared counter
-/// and mines each with a one-thread [`mine_prepared_roots_to_sink`] run,
-/// reporting to its own observer, so no subtree below a root is ever
-/// shared. Subtree outputs are disjoint by root, so the result, finalized
-/// under `params` (the miner's), is the set the engine collects.
+/// work-stealing engine replaced, for the thread-scaling comparison:
+/// `threads` workers take whole roots from a shared counter and mine each
+/// with a one-thread [`mine_prepared_roots_to_sink`] run, so no subtree
+/// below a root is ever shared. Subtree outputs are disjoint by root, so
+/// the result, finalized under `params` (the miner's), is the set the
+/// engine collects. Also returns the nodes each worker expanded, summed
+/// from its runs' reports.
 ///
 /// # Panics
 ///
 /// Panics if a root's run fails (a worker panic).
-pub fn mine_static_roots<O: SyncMineObserver>(
+pub fn mine_static_roots(
     miner: &Miner<'_>,
     params: &MiningParams,
-    observers: &[O],
-) -> Vec<RegCluster> {
+    threads: usize,
+) -> (Vec<RegCluster>, Vec<usize>) {
     let next_root = AtomicUsize::new(0);
     let sink = VecSink::new();
-    std::thread::scope(|scope| {
-        for observer in observers {
-            let (next_root, sink) = (&next_root, &sink);
-            scope.spawn(move || loop {
-                let root = next_root.fetch_add(1, Ordering::Relaxed);
-                if root >= miner.n_conditions() {
-                    break;
-                }
-                let config = EngineConfig::new(1);
-                mine_prepared_roots_to_sink(
-                    miner,
-                    &[root],
-                    &config,
-                    &MineControl::new(),
-                    observer,
-                    sink,
-                )
-                .expect("static-split mining succeeds");
-            });
-        }
+    let worker_nodes = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut nodes = 0;
+                    loop {
+                        let root = next_root.fetch_add(1, Ordering::Relaxed);
+                        if root >= miner.n_conditions() {
+                            return nodes;
+                        }
+                        let (config, control) = (EngineConfig::new(1), MineControl::new());
+                        let report = mine_prepared_roots_to_sink(
+                            miner,
+                            &[root],
+                            &config,
+                            &control,
+                            &NoopObserver,
+                            &sink,
+                        );
+                        nodes += report.expect("static-split mining succeeds").stats.nodes;
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("worker"))
+            .collect()
     });
     let mut clusters = sink.into_clusters();
     finalize_clusters(&mut clusters, params);
-    clusters
+    (clusters, worker_nodes)
 }
 
 /// Times a closure, returning its result and elapsed seconds.

@@ -189,23 +189,18 @@ impl SyncMineObserver for ProgressObserver {
 }
 
 /// The observer every `mine` run reports through: a registry-backed
-/// [`MetricsObserver`] (always on — the counters feed `--metrics` /
-/// `--metrics-json` snapshots), optionally fanned out to the stderr
-/// progress line.
+/// [`MetricsObserver`] (always on — its emission instruments feed the
+/// `--metrics` / `--metrics-json` snapshots), optionally fanned out to the
+/// stderr progress line. The node, prune and depth instruments are filled
+/// from the run's stats when enumeration returns.
 struct MineRunObserver {
     metrics: MetricsObserver,
     progress: Option<ProgressObserver>,
 }
 
 impl SyncMineObserver for MineRunObserver {
-    fn node_entered(&self, chain: &[regcluster_matrix::CondId], n_p: usize, n_n: usize) {
-        SyncMineObserver::node_entered(&self.metrics, chain, n_p, n_n);
-    }
-    fn pruned(&self, chain: &[regcluster_matrix::CondId], rule: regcluster_core::PruneRule) {
-        SyncMineObserver::pruned(&self.metrics, chain, rule);
-    }
     fn cluster_emitted(&self, cluster: &RegCluster) {
-        SyncMineObserver::cluster_emitted(&self.metrics, cluster);
+        self.metrics.cluster_emitted(cluster);
         if let Some(progress) = &self.progress {
             progress.cluster_emitted(cluster);
         }
@@ -271,8 +266,9 @@ fn mine(command: &Command) -> Result<String, CliError> {
     else {
         unreachable!("mine runs only the mine command");
     };
-    // One registry per run: phase spans, the mining observer and the engine
-    // counters feed it, and --metrics/--metrics-json snapshot it at the end.
+    // One registry per run: phase spans, the mining observer, the run's
+    // stats and the engine counters feed it, and --metrics/--metrics-json
+    // snapshot it at the end.
     let registry = MetricsRegistry::new();
     let pipeline = Pipeline::new(&registry);
     let observer = MineRunObserver {
@@ -351,6 +347,9 @@ fn mine(command: &Command) -> Result<String, CliError> {
     // is written from the finalized clusters, after postprocess.
     let (report, ck_report, mut clusters) = pipeline.enumerate(&source, None, run)?;
     engine_metrics.record(&report);
+    if let Some(stats) = &report.stats {
+        observer.metrics.record_run(stats);
+    }
     pipeline.time("postprocess", || {
         // A delta mine's unchanged subtrees carry over from its base.
         if let Some(delta) = &delta_plan {

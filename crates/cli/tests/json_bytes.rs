@@ -310,3 +310,18 @@ fn mine_output_fixture_reprints_byte_identically() {
     assert!(doc.stats.is_some() && !doc.clusters.is_empty());
     assert_eq!(serde_json::to_string_pretty(&doc).unwrap(), text);
 }
+
+#[test]
+fn mining_stats_json_omits_the_rule_2_and_depth_counts() {
+    let mut stats = MiningStats::default();
+    stats.count_node(2);
+    stats.count_prune(regcluster_core::PruneRule::MinConds);
+    let text = serde_json::to_string(&stats).unwrap();
+    assert!(
+        !text.contains("min_conds") && !text.contains("depth_nodes"),
+        "{text}"
+    );
+    let back: MiningStats = serde_json::from_str(&text).unwrap();
+    assert_eq!((back.nodes, back.max_depth), (1, 2));
+    assert_eq!((back.pruned_min_conds, back.depth_nodes.len()), (0, 0));
+}

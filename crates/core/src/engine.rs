@@ -78,7 +78,7 @@ use crate::checkpoint::{
 };
 use crate::intern::{ClusterView, EmittedSet};
 use crate::miner::{finalize_clusters, Dir, EmitOutcome, Member, Miner};
-use crate::observer::{MineObserver, MiningStats, NoopObserver, PruneRule, SyncMineObserver};
+use crate::observer::{MiningStats, NoopObserver, SyncMineObserver};
 use crate::scratch::{ChildBuf, NodeScratch};
 use crate::{CoreError, RegCluster};
 
@@ -334,6 +334,9 @@ impl MineReport {
 pub struct StreamReport {
     /// Merged per-worker search-effort counters.
     pub stats: MiningStats,
+    /// The nodes each worker expanded, summed over the run's checkpoint
+    /// legs: worker 0 is the calling thread. Their sum is `stats.nodes`.
+    pub worker_nodes: Vec<usize>,
     /// The run was stopped by [`MineControl`] before the tree was exhausted.
     pub truncated: bool,
     /// The sink refused a cluster, stopping the run early (e.g. a
@@ -613,28 +616,6 @@ impl Shared<'_> {
     }
 }
 
-/// Per-worker bridge: accumulates lock-free [`MiningStats`] and forwards
-/// every event to the shared [`SyncMineObserver`].
-struct WorkerObserver<'a> {
-    stats: MiningStats,
-    user: &'a dyn SyncMineObserver,
-}
-
-impl MineObserver for WorkerObserver<'_> {
-    fn node_entered(&mut self, chain: &[CondId], n_p: usize, n_n: usize) {
-        MineObserver::node_entered(&mut self.stats, chain, n_p, n_n);
-        self.user.node_entered(chain, n_p, n_n);
-    }
-    fn pruned(&mut self, chain: &[CondId], rule: PruneRule) {
-        MineObserver::pruned(&mut self.stats, chain, rule);
-        self.user.pruned(chain, rule);
-    }
-    fn cluster_emitted(&mut self, cluster: &RegCluster) {
-        MineObserver::cluster_emitted(&mut self.stats, cluster);
-        self.user.cluster_emitted(cluster);
-    }
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -835,6 +816,7 @@ fn execute(
     };
 
     let mut stats = MiningStats::default();
+    let mut worker_nodes = vec![0; threads];
     let mut checkpoints_written = 0u64;
     // Each iteration is one enumeration leg. Legs after the first occur
     // only for periodic checkpoints: the paused leg's workers drained the
@@ -863,10 +845,14 @@ fn execute(
                 )
             };
             let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(run)).collect();
-            stats.merge(&run());
-            for handle in helpers {
-                if let Ok(worker_stats) = handle.join() {
-                    stats.merge(&worker_stats);
+            let mut fold = |i: usize, worker: MiningStats| {
+                worker_nodes[i] += worker.nodes;
+                stats.merge(&worker);
+            };
+            fold(0, run());
+            for (i, handle) in (1..).zip(helpers) {
+                if let Ok(worker) = handle.join() {
+                    fold(i, worker);
                 }
             }
         });
@@ -897,6 +883,7 @@ fn execute(
         }
         break StreamReport {
             stats: std::mem::take(&mut stats),
+            worker_nodes: std::mem::take(&mut worker_nodes),
             truncated,
             stopped_by_sink,
         };
@@ -928,10 +915,7 @@ fn execute(
 /// when spilling (owned tasks must cross threads) and when emitting a fresh
 /// cluster.
 fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats {
-    let mut observer = WorkerObserver {
-        stats: MiningStats::default(),
-        user: shared.observer,
-    };
+    let mut stats = MiningStats::default();
     let mut scratch = NodeScratch::with_conds(n_conds);
     let mut children = ChildBuf::default();
     // The node currently being expanded.
@@ -1005,8 +989,9 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
                 &members,
                 &mut scratch,
                 &mut children,
-                &mut observer,
-                &mut |view, obs| {
+                &mut stats,
+                shared.observer,
+                &mut |view| {
                     // The fingerprint is computed outside the shard lock; the
                     // shard resolves exact membership. Duplicate probes take the
                     // lock but allocate nothing.
@@ -1019,7 +1004,7 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
                     // into the sink — no clone anywhere on the emission path
                     // (checkpointing runs add one clone, for the journal).
                     let cluster = view.to_cluster();
-                    obs.cluster_emitted(&cluster);
+                    shared.observer.cluster_emitted(&cluster);
                     if let Some(journal) = &shared.journal {
                         // Journal the cluster only when the sink keeps the
                         // run alive: a refused cluster's node returns to the
@@ -1112,12 +1097,7 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
             }
         }
     }
-    let work = scratch.work;
-    observer.stats.members += work.members;
-    observer.stats.pairs += work.pairs;
-    observer.stats.sorted_keys += work.sorted_keys;
-    observer.stats.windows += work.windows;
-    observer.stats
+    stats
 }
 
 /// Returns a popped-but-unfinished node to the shared queue (checkpointing

@@ -88,7 +88,7 @@ pub use error::CoreError;
 pub use metrics::MetricsObserver;
 pub use miner::{finalize_clusters, mine, mine_with_observer, Miner};
 pub use observer::{
-    MineObserver, MiningStats, NoopObserver, PruneRule, SyncMineObserver, TraceEvent, TraceObserver,
+    MiningStats, NoopObserver, PruneRule, SyncMineObserver, TraceEvent, TraceObserver,
 };
 pub use params::MiningParams;
 pub use partition::{partition_roots, range_roots};

@@ -1,18 +1,20 @@
 //! Registry-backed mining telemetry.
 //!
-//! [`MetricsObserver`] is the production observer: it turns enumeration
-//! events into pre-registered [`regcluster_obs`] instruments — per-rule
-//! subtree-kill counters, a node-depth histogram, and a time-to-emission
-//! histogram. Every event handler is a handful of relaxed atomic writes:
-//! no locks, no registry lookups, and no heap allocation, so the observer
-//! can ride inside the allocation-free enumeration core (the workspace's
-//! `tests/alloc.rs` pins this at exactly zero steady-state allocations).
+//! [`MetricsObserver`] fills pre-registered [`regcluster_obs`] instruments:
+//! a node counter, per-rule subtree-kill counters and a node-depth
+//! histogram, recorded once from a finished run's merged [`MiningStats`]
+//! ([`record_run`](MetricsObserver::record_run)), plus an emitted counter
+//! and a time-to-emission histogram, recorded per emission because they
+//! need each emission's time. So the engine's hot path makes no shared
+//! write per node or per prune, and an emission costs a handful of relaxed
+//! atomic writes: no locks, no registry lookups and no heap allocation
+//! (the workspace's `tests/alloc.rs` pins this at zero steady-state
+//! allocations).
 
-use regcluster_matrix::CondId;
 use regcluster_obs::{Clock, Counter, Histogram, MetricsRegistry, MonotonicClock};
 
 use crate::cluster::RegCluster;
-use crate::observer::{MineObserver, PruneRule, SyncMineObserver};
+use crate::observer::{MiningStats, PruneRule, SyncMineObserver};
 
 /// Name of the nodes-entered counter.
 pub const MINE_NODES_METRIC: &str = "regcluster_mine_nodes_total";
@@ -33,12 +35,10 @@ const DEPTH_BOUNDS: [f64; 10] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 
 /// [`MINE_EMISSION_LATENCY_METRIC`].
 const LATENCY_BOUNDS: [f64; 10] = [0.0001, 0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0];
 
-/// An observer recording enumeration events into registry instruments.
-///
-/// Implements [`SyncMineObserver`] for the work-stealing engine (all
-/// instrument cells are atomics, so concurrent workers reporting through
-/// one instance lose nothing) and [`MineObserver`] for
-/// [`mine_with_observer`](crate::mine_with_observer).
+/// Registry instruments for mining runs: attach it as the run's
+/// [`SyncMineObserver`] for the emission instruments (its cells are
+/// atomics, so concurrent workers reporting through one instance lose
+/// nothing), and hand it the run's stats when enumeration returns.
 ///
 /// Handles are resolved once, at [`register`](MetricsObserver::register)
 /// time. The clock is generic so tests can drive time by hand
@@ -109,43 +109,28 @@ impl<C: Clock + Sync> MetricsObserver<C> {
         }
     }
 
-    fn record_node(&self, chain: &[CondId]) {
-        self.nodes.inc();
-        self.depth.observe(chain.len() as f64);
-    }
-
-    fn record_pruned(&self, rule: PruneRule) {
-        self.pruned[rule.index()].inc();
-    }
-
-    fn record_emitted(&self) {
-        self.emitted.inc();
-        let elapsed = self.clock.now_micros().saturating_sub(self.epoch_micros);
-        self.emission_latency.observe(elapsed as f64 / 1e6);
+    /// Records a finished run's node, prune and depth counts: what the
+    /// instruments would hold had every node and prune event been counted
+    /// as it happened. Record each run once; an engine without stats (a
+    /// baseline) records none.
+    pub fn record_run(&self, stats: &MiningStats) {
+        self.nodes.add(stats.nodes as u64);
+        for rule in PruneRule::ALL {
+            self.pruned[rule.index()].add(stats.pruned(rule) as u64);
+        }
+        for (depth, &n) in stats.depth_nodes.iter().enumerate() {
+            if n > 0 {
+                self.depth.observe_n(depth as f64, n as u64);
+            }
+        }
     }
 }
 
 impl<C: Clock + Sync> SyncMineObserver for MetricsObserver<C> {
-    fn node_entered(&self, chain: &[CondId], _n_p: usize, _n_n: usize) {
-        self.record_node(chain);
-    }
-    fn pruned(&self, _chain: &[CondId], rule: PruneRule) {
-        self.record_pruned(rule);
-    }
     fn cluster_emitted(&self, _cluster: &RegCluster) {
-        self.record_emitted();
-    }
-}
-
-impl<C: Clock + Sync> MineObserver for MetricsObserver<C> {
-    fn node_entered(&mut self, chain: &[CondId], _n_p: usize, _n_n: usize) {
-        self.record_node(chain);
-    }
-    fn pruned(&mut self, _chain: &[CondId], rule: PruneRule) {
-        self.record_pruned(rule);
-    }
-    fn cluster_emitted(&mut self, _cluster: &RegCluster) {
-        self.record_emitted();
+        self.emitted.inc();
+        let elapsed = self.clock.now_micros().saturating_sub(self.epoch_micros);
+        self.emission_latency.observe(elapsed as f64 / 1e6);
     }
 }
 
@@ -160,55 +145,43 @@ mod tests {
     }
 
     #[test]
-    fn events_land_in_the_right_instruments() {
+    fn run_stats_and_emissions_land_in_the_right_instruments() {
         let registry = MetricsRegistry::new();
         let observer = MetricsObserver::with_clock(&registry, ManualClock::new());
-        SyncMineObserver::node_entered(&observer, &[3], 5, 2);
-        SyncMineObserver::node_entered(&observer, &[3, 7, 1], 4, 1);
-        SyncMineObserver::pruned(&observer, &[3, 7], PruneRule::Coherence);
-        SyncMineObserver::pruned(&observer, &[4], PruneRule::MinGenes);
-        SyncMineObserver::pruned(&observer, &[5], PruneRule::Coherence);
+        let mut stats = MiningStats::default();
+        stats.count_node(1);
+        stats.count_node(3);
+        stats.count_node(3);
+        stats.count_prune(PruneRule::Coherence);
+        stats.count_prune(PruneRule::MinGenes);
+        stats.count_prune(PruneRule::Coherence);
+        stats.count_prune(PruneRule::MinConds);
+        observer.record_run(&stats);
         let cluster = RegCluster {
             chain: vec![3, 7, 1],
             p_members: vec![0],
             n_members: vec![],
         };
-        SyncMineObserver::cluster_emitted(&observer, &cluster);
+        observer.cluster_emitted(&cluster);
 
         let node_help = "Enumeration-tree nodes entered (partial representative chains expanded).";
-        assert_eq!(counter(&registry, MINE_NODES_METRIC, node_help, None), 2);
+        assert_eq!(counter(&registry, MINE_NODES_METRIC, node_help, None), 3);
         let pruned_help = "Subtrees cut by each pruning strategy of the paper's section 4.";
-        assert_eq!(
-            counter(
-                &registry,
-                MINE_PRUNED_METRIC,
-                pruned_help,
-                Some("coherence")
-            ),
-            2
-        );
-        assert_eq!(
-            counter(
-                &registry,
-                MINE_PRUNED_METRIC,
-                pruned_help,
-                Some("min_genes")
-            ),
-            1
-        );
-        assert_eq!(
-            counter(
-                &registry,
-                MINE_PRUNED_METRIC,
-                pruned_help,
-                Some("duplicate")
-            ),
-            0
-        );
+        for (rule, want) in [
+            ("coherence", 2),
+            ("min_genes", 1),
+            ("min_conds", 1),
+            ("duplicate", 0),
+        ] {
+            let got = counter(&registry, MINE_PRUNED_METRIC, pruned_help, Some(rule));
+            assert_eq!(got, want, "{rule}");
+        }
         let text = registry.encode_prometheus();
         assert!(text.contains("regcluster_mine_clusters_emitted_total 1"));
-        assert!(text.contains("regcluster_mine_node_depth_count 2"));
-        assert!(text.contains("regcluster_mine_node_depth_sum 4"), "{text}");
+        assert!(text.contains("regcluster_mine_node_depth_bucket{le=\"1\"} 1"));
+        assert!(text.contains("regcluster_mine_node_depth_bucket{le=\"3\"} 3"));
+        assert!(text.contains("regcluster_mine_node_depth_count 3"));
+        assert!(text.contains("regcluster_mine_node_depth_sum 7"), "{text}");
     }
 
     #[test]
@@ -223,7 +196,7 @@ mod tests {
             p_members: vec![0],
             n_members: vec![],
         };
-        SyncMineObserver::cluster_emitted(&observer, &cluster);
+        observer.cluster_emitted(&cluster);
         let h = registry.histogram(
             MINE_EMISSION_LATENCY_METRIC,
             "Seconds from the start of the mining run to each cluster emission.",
@@ -232,22 +205,5 @@ mod tests {
         );
         assert_eq!(h.count(), 1);
         assert!((h.sum() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mut_and_sync_paths_share_cells() {
-        let registry = MetricsRegistry::new();
-        let mut observer = MetricsObserver::with_clock(&registry, ManualClock::new());
-        MineObserver::node_entered(&mut observer, &[1], 1, 0);
-        SyncMineObserver::node_entered(&observer, &[1, 2], 1, 0);
-        assert_eq!(
-            counter(
-                &registry,
-                MINE_NODES_METRIC,
-                "Enumeration-tree nodes entered (partial representative chains expanded).",
-                None
-            ),
-            2
-        );
     }
 }

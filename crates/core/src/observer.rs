@@ -1,14 +1,17 @@
 //! Instrumentation hooks for the enumeration tree.
 //!
 //! The paper's Figure 6 annotates every edge of the representative-chain
-//! enumeration tree with the pruning strategy applied. [`MineObserver`]
+//! enumeration tree with the pruning strategy applied. [`SyncMineObserver`]
 //! exposes those events so tests can reproduce the tree exactly and so users
 //! can trace why a parameter setting returns nothing.
+
+use std::sync::Mutex;
 
 use regcluster_matrix::CondId;
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::RegCluster;
+use crate::engine::lock;
 
 /// The pruning strategies of §4 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,8 +19,9 @@ pub enum PruneRule {
     /// (1) MinG pruning — fewer than `MinG` member genes remain.
     MinGenes,
     /// (2) MinC pruning is applied per gene while generating candidates, so
-    /// it surfaces as a node event only when it empties a candidate set; the
-    /// variant exists for completeness of traces produced by custom tooling.
+    /// it surfaces as a prune only where it cuts a whole subtree: at a root
+    /// none of whose genes can reach MinC conditions, and at a node below
+    /// MinC left with no candidate.
     MinConds,
     /// (3)(a) Redundant pruning — fewer than `MinG / 2` p-members, so the
     /// chain cannot be representative.
@@ -65,28 +69,15 @@ impl PruneRule {
     }
 }
 
-/// Receiver for enumeration-tree events. All methods default to no-ops.
-pub trait MineObserver {
-    /// A node (partial representative chain) was entered with `n_p`
-    /// p-members and `n_n` n-members.
-    fn node_entered(&mut self, _chain: &[CondId], _n_p: usize, _n_n: usize) {}
-    /// The subtree at `chain` was pruned by `rule`.
-    fn pruned(&mut self, _chain: &[CondId], _rule: PruneRule) {}
-    /// A validated reg-cluster was emitted.
-    fn cluster_emitted(&mut self, _cluster: &RegCluster) {}
-}
-
-/// Receiver for enumeration-tree events from concurrent workers.
+/// Receiver for enumeration-tree events from concurrent workers: the one
+/// interface every engine reports through. All methods default to no-ops.
 ///
-/// The thread-safe counterpart of [`MineObserver`], the interface the
-/// [`engine`](crate::engine) reports through: methods take `&self` and
-/// implementations must be [`Sync`] because every worker reports through
-/// the same instance. [`mine_with_observer`](crate::mine_with_observer)
-/// adapts an exclusive [`MineObserver`] to it behind a lock.
-/// Events from different workers interleave arbitrarily; only the per-worker
-/// sub-streams are in depth-first order. For aggregate counters prefer the
-/// per-worker [`MiningStats`] that the engine accumulates lock-free and
-/// merges at join.
+/// Methods take `&self` and implementations must be [`Sync`] because every
+/// worker reports through the same instance. Events from different workers
+/// interleave arbitrarily; only the per-worker sub-streams are in
+/// depth-first order (a one-thread run is one sub-stream). For aggregate
+/// counts read the run's [`MiningStats`] instead: each engine worker counts
+/// into its own and the engine merges them at join.
 pub trait SyncMineObserver: Sync {
     /// A node (partial representative chain) was entered with `n_p`
     /// p-members and `n_n` n-members.
@@ -100,8 +91,6 @@ pub trait SyncMineObserver: Sync {
 /// The default, zero-cost observer.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopObserver;
-
-impl MineObserver for NoopObserver {}
 
 impl SyncMineObserver for NoopObserver {}
 
@@ -119,45 +108,65 @@ pub enum TraceEvent {
 /// An observer that records every event, for tests and debugging.
 #[derive(Debug, Default)]
 pub struct TraceObserver {
-    /// The events, in depth-first order.
-    pub events: Vec<TraceEvent>,
+    /// The events in arrival order: depth-first on a one-thread run.
+    pub events: Mutex<Vec<TraceEvent>>,
 }
 
 impl TraceObserver {
-    /// All chains at which a given rule fired.
-    pub fn pruned_by(&self, rule: PruneRule) -> Vec<&[CondId]> {
-        self.events
+    /// The chains of the events `pick` selects, in arrival order.
+    fn chains(&self, pick: impl Fn(&TraceEvent) -> Option<&Vec<CondId>>) -> Vec<Vec<CondId>> {
+        lock(&self.events)
             .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Pruned(chain, r) if *r == rule => Some(chain.as_slice()),
-                _ => None,
-            })
+            .filter_map(pick)
+            .cloned()
             .collect()
     }
 
-    /// All node chains entered, in DFS order.
-    pub fn nodes(&self) -> Vec<&[CondId]> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Node(chain, _, _) => Some(chain.as_slice()),
-                _ => None,
-            })
-            .collect()
+    /// All chains at which a given rule fired.
+    pub fn pruned_by(&self, rule: PruneRule) -> Vec<Vec<CondId>> {
+        self.chains(|e| match e {
+            TraceEvent::Pruned(chain, r) if *r == rule => Some(chain),
+            _ => None,
+        })
+    }
+
+    /// All node chains entered, in arrival order.
+    pub fn nodes(&self) -> Vec<Vec<CondId>> {
+        self.chains(|e| match e {
+            TraceEvent::Node(chain, _, _) => Some(chain),
+            _ => None,
+        })
     }
 
     /// Number of emitted clusters.
     pub fn n_emitted(&self) -> usize {
-        self.events
+        lock(&self.events)
             .iter()
             .filter(|e| matches!(e, TraceEvent::Emitted(_)))
             .count()
     }
 }
 
-/// Aggregate search-effort counters — the cheap observer for production
-/// runs that want to know *why* a parameter setting is slow or empty
-/// without paying for a full trace.
+impl SyncMineObserver for TraceObserver {
+    fn node_entered(&self, chain: &[CondId], n_p: usize, n_n: usize) {
+        lock(&self.events).push(TraceEvent::Node(chain.to_vec(), n_p, n_n));
+    }
+    fn pruned(&self, chain: &[CondId], rule: PruneRule) {
+        lock(&self.events).push(TraceEvent::Pruned(chain.to_vec(), rule));
+    }
+    fn cluster_emitted(&self, cluster: &RegCluster) {
+        lock(&self.events).push(TraceEvent::Emitted(cluster.clone()));
+    }
+}
+
+/// Aggregate search-effort counters of a run. Each engine worker counts
+/// into its own at every node, prune and emission, and the engine merges
+/// them at join, so a run pays no shared write per event.
+///
+/// The per-depth node counts and the rule-2 count feed the registry's
+/// instruments ([`MetricsObserver::record_run`](crate::MetricsObserver::record_run))
+/// but stay out of the serialized form and of [`summary`](Self::summary),
+/// whose shape predates them.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MiningStats {
     /// Enumeration-tree nodes entered.
@@ -191,9 +200,50 @@ pub struct MiningStats {
     /// scan).
     #[serde(default)]
     pub windows: usize,
+    /// Subtrees cut by pruning (2) — MinC.
+    #[serde(skip)]
+    pub pruned_min_conds: usize,
+    /// `depth_nodes[d]` is the number of nodes entered with a chain of `d`
+    /// conditions (slot 0 stays 0); grown to `max_depth + 1` slots.
+    #[serde(skip)]
+    pub depth_nodes: Vec<usize>,
 }
 
 impl MiningStats {
+    /// Counts a node entered with a chain of `depth` conditions.
+    #[inline]
+    pub fn count_node(&mut self, depth: usize) {
+        self.nodes += 1;
+        if depth >= self.depth_nodes.len() {
+            self.depth_nodes.resize(depth + 1, 0);
+            self.max_depth = self.max_depth.max(depth);
+        }
+        self.depth_nodes[depth] += 1;
+    }
+
+    /// Counts a subtree cut by `rule`.
+    #[inline]
+    pub fn count_prune(&mut self, rule: PruneRule) {
+        *match rule {
+            PruneRule::MinGenes => &mut self.pruned_min_genes,
+            PruneRule::MinConds => &mut self.pruned_min_conds,
+            PruneRule::FewPMembers => &mut self.pruned_few_p,
+            PruneRule::Duplicate => &mut self.pruned_duplicate,
+            PruneRule::Coherence => &mut self.pruned_coherence,
+        } += 1;
+    }
+
+    /// Subtrees cut by `rule`.
+    pub fn pruned(&self, rule: PruneRule) -> usize {
+        match rule {
+            PruneRule::MinGenes => self.pruned_min_genes,
+            PruneRule::MinConds => self.pruned_min_conds,
+            PruneRule::FewPMembers => self.pruned_few_p,
+            PruneRule::Duplicate => self.pruned_duplicate,
+            PruneRule::Coherence => self.pruned_coherence,
+        }
+    }
+
     /// Folds another accumulator into this one: counters add, `max_depth`
     /// takes the maximum. Used by the parallel engine to combine per-worker
     /// statistics at join; because workers partition the enumeration tree,
@@ -210,6 +260,13 @@ impl MiningStats {
         self.pairs += other.pairs;
         self.sorted_keys += other.sorted_keys;
         self.windows += other.windows;
+        self.pruned_min_conds += other.pruned_min_conds;
+        if self.depth_nodes.len() < other.depth_nodes.len() {
+            self.depth_nodes.resize(other.depth_nodes.len(), 0);
+        }
+        for (mine, theirs) in self.depth_nodes.iter_mut().zip(&other.depth_nodes) {
+            *mine += theirs;
+        }
     }
 
     /// Human-readable one-line summary.
@@ -232,46 +289,13 @@ impl MiningStats {
     }
 }
 
-impl MineObserver for MiningStats {
-    fn node_entered(&mut self, chain: &[CondId], _n_p: usize, _n_n: usize) {
-        self.nodes += 1;
-        self.max_depth = self.max_depth.max(chain.len());
-    }
-    fn pruned(&mut self, _chain: &[CondId], rule: PruneRule) {
-        match rule {
-            PruneRule::MinGenes => self.pruned_min_genes += 1,
-            PruneRule::FewPMembers => self.pruned_few_p += 1,
-            PruneRule::Duplicate => self.pruned_duplicate += 1,
-            PruneRule::Coherence => self.pruned_coherence += 1,
-            // Not counted here: rule-2 cuts are exported via
-            // `MetricsObserver` instead.
-            PruneRule::MinConds => {}
-        }
-    }
-    fn cluster_emitted(&mut self, _cluster: &RegCluster) {
-        self.emitted += 1;
-    }
-}
-
-impl MineObserver for TraceObserver {
-    fn node_entered(&mut self, chain: &[CondId], n_p: usize, n_n: usize) {
-        self.events.push(TraceEvent::Node(chain.to_vec(), n_p, n_n));
-    }
-    fn pruned(&mut self, chain: &[CondId], rule: PruneRule) {
-        self.events.push(TraceEvent::Pruned(chain.to_vec(), rule));
-    }
-    fn cluster_emitted(&mut self, cluster: &RegCluster) {
-        self.events.push(TraceEvent::Emitted(cluster.clone()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn trace_observer_records_and_filters() {
-        let mut t = TraceObserver::default();
+        let t = TraceObserver::default();
         t.node_entered(&[1], 2, 1);
         t.pruned(&[1, 2], PruneRule::MinGenes);
         t.pruned(&[1, 3], PruneRule::Coherence);
@@ -281,36 +305,32 @@ mod tests {
             n_members: vec![],
         };
         t.cluster_emitted(&c);
-        assert_eq!(t.nodes(), vec![&[1usize][..]]);
-        assert_eq!(t.pruned_by(PruneRule::MinGenes), vec![&[1usize, 2][..]]);
+        assert_eq!(t.nodes(), vec![vec![1]]);
+        assert_eq!(t.pruned_by(PruneRule::MinGenes), vec![vec![1, 2]]);
         assert_eq!(t.pruned_by(PruneRule::Duplicate).len(), 0);
         assert_eq!(t.n_emitted(), 1);
     }
 
     #[test]
-    fn stats_observer_counts_everything() {
+    fn stats_count_nodes_by_depth_and_prunes_by_rule() {
         let mut s = MiningStats::default();
-        s.node_entered(&[1], 2, 1);
-        s.node_entered(&[1, 2, 3], 2, 0);
-        s.pruned(&[1, 2], PruneRule::MinGenes);
-        s.pruned(&[1, 3], PruneRule::Coherence);
-        s.pruned(&[2], PruneRule::FewPMembers);
-        s.pruned(&[3], PruneRule::Duplicate);
-        let c = RegCluster {
-            chain: vec![1, 2, 3],
-            p_members: vec![0],
-            n_members: vec![],
-        };
-        s.cluster_emitted(&c);
-        assert_eq!(s.nodes, 2);
+        s.count_node(1);
+        s.count_node(3);
+        s.count_node(3);
+        for rule in PruneRule::ALL {
+            s.count_prune(rule);
+        }
+        s.count_prune(PruneRule::MinConds);
+        assert_eq!(s.nodes, 3);
         assert_eq!(s.max_depth, 3);
-        assert_eq!(s.emitted, 1);
+        assert_eq!(s.depth_nodes, vec![0, 1, 0, 2]);
         assert_eq!(s.pruned_min_genes, 1);
         assert_eq!(s.pruned_coherence, 1);
         assert_eq!(s.pruned_few_p, 1);
         assert_eq!(s.pruned_duplicate, 1);
+        assert_eq!(s.pruned(PruneRule::MinConds), 2);
         let txt = s.summary();
-        assert!(txt.contains("2 nodes"));
+        assert!(txt.contains("3 nodes"));
         assert!(txt.contains("max depth 3"));
     }
 
@@ -328,10 +348,12 @@ mod tests {
             pairs: 10,
             sorted_keys: 4,
             windows: 2,
+            pruned_min_conds: 1,
+            depth_nodes: vec![0, 1, 2],
         };
         let b = MiningStats {
             nodes: 5,
-            max_depth: 6,
+            max_depth: 3,
             emitted: 0,
             pruned_min_genes: 1,
             pruned_few_p: 3,
@@ -341,10 +363,12 @@ mod tests {
             pairs: 7,
             sorted_keys: 0,
             windows: 1,
+            pruned_min_conds: 2,
+            depth_nodes: vec![0, 2, 2, 1],
         };
         a.merge(&b);
         assert_eq!(a.nodes, 8);
-        assert_eq!(a.max_depth, 6);
+        assert_eq!(a.max_depth, 3);
         assert_eq!(a.emitted, 1);
         assert_eq!(a.pruned_min_genes, 5);
         assert_eq!(a.pruned_few_p, 3);
@@ -354,6 +378,8 @@ mod tests {
         assert_eq!(a.pairs, 17);
         assert_eq!(a.sorted_keys, 4);
         assert_eq!(a.windows, 3);
+        assert_eq!(a.pruned_min_conds, 3);
+        assert_eq!(a.depth_nodes, vec![0, 3, 4, 1]);
     }
 
     #[test]

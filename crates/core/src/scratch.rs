@@ -49,9 +49,6 @@ pub(crate) struct NodeScratch {
     pub n_genes: Vec<GeneId>,
     /// Merged sorted union of `p_genes` and `n_genes`.
     pub genes: Vec<GeneId>,
-    /// Work counted so far, folded into the worker's
-    /// [`MiningStats`](crate::MiningStats) when it finishes.
-    pub work: WorkCounts,
 }
 
 impl NodeScratch {
@@ -62,16 +59,6 @@ impl NodeScratch {
             ..NodeScratch::default()
         }
     }
-}
-
-/// The work counters of [`MiningStats`](crate::MiningStats) that are not
-/// observer events; see its fields for their meaning.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct WorkCounts {
-    pub members: usize,
-    pub pairs: usize,
-    pub sorted_keys: usize,
-    pub windows: usize,
 }
 
 /// The (member, H-score) pairs of one node, bucketed by candidate

@@ -167,6 +167,8 @@ fn periodic_checkpoints_do_not_change_the_result() {
     // respawn) after every worker's next node — the most hostile cadence.
     let (matrix, params) = running_dataset();
     let reference = golden(&matrix, &params);
+    let miner = Miner::new(&matrix, &params).unwrap();
+    let reference_stats = MineRequest::new(&miner).collect().unwrap().0.stats;
     for threads in [1usize, 2, 4] {
         let ck_sink = MemoryCheckpointSink::new();
         let plan = CheckpointPlan::new(&ck_sink).with_every(Duration::ZERO);
@@ -181,6 +183,8 @@ fn periodic_checkpoints_do_not_change_the_result() {
         .unwrap();
         assert!(!report.truncated);
         assert_eq!(report.clusters, reference, "threads = {threads}");
+        // Every leg's per-worker stats are merged: each node counts once.
+        assert_eq!(report.stats, reference_stats, "threads = {threads}");
         assert!(
             ck_report.checkpoints_written > 0,
             "zero interval must checkpoint at least once (threads = {threads})"

@@ -2,22 +2,17 @@
 //! of a re-measured matrix and splicing in the unchanged roots' clusters
 //! from the previous run must yield the **bit-identical** finalized
 //! cluster set of a from-scratch mine — across thread counts 1–8 — while
-//! visiting strictly fewer enumeration nodes (pinned through the obs node
-//! counter, the same instrument production dashboards read).
+//! visiting strictly fewer enumeration nodes (pinned through the run's
+//! merged node count, the number the registry's node counter is filled
+//! from).
 
-use regcluster_core::metrics::MINE_NODES_METRIC;
 use regcluster_core::{
     classify_roots, finalize_clusters, mine_prepared_roots_to_sink, mine_prepared_to_sink,
-    root_fingerprints, DeltaPlan, EngineConfig, MetricsObserver, MineControl, Miner, MiningParams,
-    NoopObserver, RegCluster, SyncMineObserver, VecSink,
+    root_fingerprints, DeltaPlan, EngineConfig, MineControl, Miner, MiningParams, NoopObserver,
+    RegCluster, StreamReport, VecSink,
 };
 use regcluster_datagen::{generate, PatternKind, SyntheticConfig};
 use regcluster_matrix::{CondId, ExpressionMatrix};
-use regcluster_obs::MetricsRegistry;
-
-/// Help string [`MetricsObserver`] registers [`MINE_NODES_METRIC`] under;
-/// re-fetching the counter requires the identical registration.
-const NODES_HELP: &str = "Enumeration-tree nodes entered (partial representative chains expanded).";
 
 /// The seeded 100×30 synthetic workload shared by the repo's golden-output
 /// tests, plus a "re-measured" copy where one gene's row changed — the
@@ -90,21 +85,21 @@ fn partial_plan(
 }
 
 /// Engine mine into a [`VecSink`]: the full tree when `roots` is `None`,
-/// otherwise only the given subtrees. Arrival order, not finalized.
+/// otherwise only the given subtrees. Arrival order, not finalized, and
+/// the run's report.
 fn engine_mine(
     miner: &Miner<'_>,
     roots: Option<&[CondId]>,
     config: &EngineConfig,
-    observer: &dyn SyncMineObserver,
-) -> Vec<RegCluster> {
+) -> (Vec<RegCluster>, StreamReport) {
     let sink = VecSink::new();
     let control = MineControl::new();
-    match roots {
-        Some(r) => mine_prepared_roots_to_sink(miner, r, config, &control, observer, &sink),
-        None => mine_prepared_to_sink(miner, config, &control, observer, &sink),
+    let report = match roots {
+        Some(r) => mine_prepared_roots_to_sink(miner, r, config, &control, &NoopObserver, &sink),
+        None => mine_prepared_to_sink(miner, config, &control, &NoopObserver, &sink),
     }
     .unwrap();
-    sink.into_clusters()
+    (sink.into_clusters(), report)
 }
 
 /// The tentpole guarantee: for every thread count 1–8, splicing the
@@ -121,22 +116,17 @@ fn delta_mine_is_bit_identical_to_full_mine_across_threads() {
     for threads in 1..=8 {
         let config = EngineConfig::new(threads);
 
-        let mut full = engine_mine(&miner_after, None, &config, &NoopObserver);
+        let (mut full, _) = engine_mine(&miner_after, None, &config);
         finalize_clusters(&mut full, &params);
 
         // The "previous run" output, as a store of record would hold it.
-        let previous = engine_mine(&miner_before, None, &config, &NoopObserver);
+        let (previous, _) = engine_mine(&miner_before, None, &config);
 
         // Splice: carry over every cluster rooted at an unchanged
         // condition, re-mine only the dirty subtrees, finalize the union.
         let mut delta: Vec<RegCluster> =
             previous.into_iter().filter(|c| mask[c.chain[0]]).collect();
-        delta.extend(engine_mine(
-            &miner_after,
-            Some(&plan.dirty),
-            &config,
-            &NoopObserver,
-        ));
+        delta.extend(engine_mine(&miner_after, Some(&plan.dirty), &config).0);
         finalize_clusters(&mut delta, &params);
 
         assert_eq!(
@@ -159,8 +149,9 @@ fn clean_plan_reuses_the_previous_run_verbatim() {
 
     // Mining the empty dirty set visits nothing and emits nothing.
     let config = EngineConfig::new(2);
-    let fresh = engine_mine(&miner, Some(&[]), &config, &NoopObserver);
+    let (fresh, report) = engine_mine(&miner, Some(&[]), &config);
     assert!(fresh.is_empty());
+    assert_eq!(report.stats.nodes, 0);
 }
 
 /// The acceptance criterion on work saved: a delta mine re-enumerates
@@ -176,10 +167,7 @@ fn delta_mine_re_enumerates_only_dirty_subtrees() {
     let config = EngineConfig::new(1);
 
     let nodes_entered = |roots: Option<&[CondId]>| -> u64 {
-        let registry = MetricsRegistry::new();
-        let observer = MetricsObserver::register(&registry);
-        engine_mine(&miner_after, roots, &config, &observer);
-        registry.counter(MINE_NODES_METRIC, NODES_HELP, &[]).get()
+        engine_mine(&miner_after, roots, &config).1.stats.nodes as u64
     };
 
     let full = nodes_entered(None);

@@ -3,13 +3,14 @@
 //! capture.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use regcluster_core::{
     mine, CappedSink, CoreError, MineControl, MineReport, MineRequest, Miner, MiningParams,
-    MiningStats, RegCluster, StreamingSink, SyncMineObserver, VecSink,
+    PruneRule, RegCluster, StreamingSink, SyncMineObserver, VecSink,
 };
 use regcluster_matrix::ExpressionMatrix;
 
@@ -28,6 +29,38 @@ fn matrix_strategy() -> impl Strategy<Value = (ExpressionMatrix, MiningParams)> 
                 (m, params)
             },
         )
+    })
+}
+
+/// Small matrices whose rows are each either a noisy shifting-and-scaling
+/// image of one base profile or an independent draw, so the tree reaches
+/// every depth up to the condition count, under random MinG, MinC, γ and
+/// ε.
+fn oracle_strategy() -> impl Strategy<Value = (ExpressionMatrix, MiningParams)> {
+    (2usize..=8, 3usize..=8).prop_flat_map(|(n_genes, n_conds)| {
+        let noise = prop::collection::vec(-0.5f64..0.5, n_conds);
+        let row = (any::<bool>(), -3.0f64..3.0, -5.0f64..5.0, noise);
+        (
+            prop::collection::vec(-20.0f64..20.0, n_conds),
+            prop::collection::vec(row, n_genes),
+            (2usize..=3, 2usize..=n_conds.min(5)),
+            (0.0f64..0.5, 0.0f64..1.0),
+        )
+            .prop_map(move |(base, rows, (min_g, min_c), (gamma, eps))| {
+                let values = rows
+                    .iter()
+                    .flat_map(|(image, scale, shift, noise)| {
+                        base.iter().zip(noise).map(move |(&b, &e)| match image {
+                            true => scale * b + shift + e,
+                            false => 40.0 * e,
+                        })
+                    })
+                    .collect();
+                let m = ExpressionMatrix::from_flat_unlabeled(n_genes, n_conds, values)
+                    .expect("generated values are finite");
+                let params = MiningParams::new(min_g, min_c, gamma, eps).expect("valid params");
+                (m, params)
+            })
     })
 }
 
@@ -74,24 +107,43 @@ proptest! {
         }
     }
 
-    /// The merged per-worker statistics equal a one-thread observer's totals
-    /// at every thread count: first-arrival duplicate pruning keeps the event
-    /// multiset invariant (DESIGN.md §7.6). The work counters (`members`,
-    /// `pairs`, `sorted_keys`, `windows`) are not events; workers partition
-    /// the tree, so they too must match the one-thread run's.
+    /// The merged per-worker statistics, every counter included, equal a
+    /// one-thread run's at every thread count: workers partition the tree,
+    /// and first-arrival duplicate pruning keeps the event multiset
+    /// invariant (DESIGN.md §7.6).
     #[test]
     fn engine_stats_match_sequential((m, params) in matrix_strategy()) {
-        let mut seq_stats = MiningStats::default();
-        regcluster_core::mine_with_observer(&m, &params, &mut seq_stats)
-            .expect("one-thread mining succeeds");
         let one = collect(&m, &params, 1).stats;
-        seq_stats.members = one.members;
-        seq_stats.pairs = one.pairs;
-        seq_stats.sorted_keys = one.sorted_keys;
-        seq_stats.windows = one.windows;
-        for threads in [1usize, 2, 4, 8] {
+        for threads in [2usize, 4, 8] {
             let report = collect(&m, &params, threads);
-            prop_assert_eq!(&report.stats, &seq_stats, "threads = {}", threads);
+            prop_assert_eq!(&report.stats, &one, "threads = {}", threads);
+        }
+    }
+
+    /// Event ≡ counter oracle: the engine counts each node, prune and
+    /// emission into its stats where it reports the event, so replaying a
+    /// run's event stream must reproduce the report's nodes per depth,
+    /// prunes per rule (`MinConds` included) and emissions, and each
+    /// worker's node count must add up to the total.
+    #[test]
+    fn event_stream_replays_to_the_report_counters((m, params) in oracle_strategy()) {
+        let miner = Miner::new(&m, &params).expect("valid params");
+        for threads in [1usize, 2, 4] {
+            let replay = Replay::default();
+            let sink = VecSink::new();
+            let request = MineRequest::new(&miner).threads(threads).observer(&replay);
+            let (report, _) = request.run(&sink).expect("engine succeeds");
+            let events = replay.0.into_inner().unwrap();
+            let stats = &report.stats;
+            prop_assert_eq!(&stats.depth_nodes, &events.depth_nodes, "threads = {}", threads);
+            prop_assert_eq!(stats.nodes, events.depth_nodes.iter().sum::<usize>());
+            prop_assert_eq!(stats.max_depth, events.depth_nodes.len().saturating_sub(1));
+            for rule in PruneRule::ALL {
+                prop_assert_eq!(stats.pruned(rule), events.pruned[rule.index()], "{:?}", rule);
+            }
+            prop_assert_eq!(stats.emitted, events.emitted);
+            prop_assert_eq!(report.worker_nodes.len(), threads);
+            prop_assert_eq!(report.worker_nodes.iter().sum::<usize>(), stats.nodes);
         }
     }
 
@@ -265,15 +317,42 @@ impl SyncMineObserver for AtomicCounts {
     fn node_entered(&self, _chain: &[usize], _n_p: usize, _n_n: usize) {
         self.nodes.fetch_add(1, Ordering::Relaxed);
     }
-    fn pruned(&self, _chain: &[usize], rule: regcluster_core::PruneRule) {
-        // MiningStats deliberately carries no MinConds field (serialized
-        // shape stability); skip it so the totals below stay comparable.
-        if rule != regcluster_core::PruneRule::MinConds {
-            self.pruned.fetch_add(1, Ordering::Relaxed);
-        }
+    fn pruned(&self, _chain: &[usize], _rule: PruneRule) {
+        self.pruned.fetch_add(1, Ordering::Relaxed);
     }
     fn cluster_emitted(&self, _cluster: &RegCluster) {
         self.emitted.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// What [`Replay`] rebuilt from the event stream: nodes per chain length
+/// (slot 0 unused, trimmed after the deepest), prunes per rule in
+/// [`PruneRule::ALL`] order, and emissions.
+#[derive(Default)]
+struct Replayed {
+    depth_nodes: Vec<usize>,
+    pruned: [usize; PruneRule::ALL.len()],
+    emitted: usize,
+}
+
+/// Replays every event a run reports into [`Replayed`] counts, behind a
+/// lock shared by all workers.
+#[derive(Default)]
+struct Replay(Mutex<Replayed>);
+
+impl SyncMineObserver for Replay {
+    fn node_entered(&self, chain: &[usize], _n_p: usize, _n_n: usize) {
+        let mut r = self.0.lock().unwrap();
+        if r.depth_nodes.len() <= chain.len() {
+            r.depth_nodes.resize(chain.len() + 1, 0);
+        }
+        r.depth_nodes[chain.len()] += 1;
+    }
+    fn pruned(&self, _chain: &[usize], rule: PruneRule) {
+        self.0.lock().unwrap().pruned[rule.index()] += 1;
+    }
+    fn cluster_emitted(&self, _cluster: &RegCluster) {
+        self.0.lock().unwrap().emitted += 1;
     }
 }
 
@@ -286,11 +365,6 @@ fn user_observer_sees_the_same_event_totals_as_the_report() {
     let (report, _) = request.collect().unwrap();
     assert_eq!(counts.nodes.load(Ordering::Relaxed), report.stats.nodes);
     assert_eq!(counts.emitted.load(Ordering::Relaxed), report.stats.emitted);
-    assert_eq!(
-        counts.pruned.load(Ordering::Relaxed),
-        report.stats.pruned_min_genes
-            + report.stats.pruned_few_p
-            + report.stats.pruned_duplicate
-            + report.stats.pruned_coherence
-    );
+    let pruned: usize = PruneRule::ALL.map(|r| report.stats.pruned(r)).iter().sum();
+    assert_eq!(counts.pruned.load(Ordering::Relaxed), pruned);
 }

@@ -141,8 +141,7 @@ impl BiclusterEngine for BooleanEngine {
                         break 'bases;
                     }
                     budget -= 1;
-                    stats.nodes += 1;
-                    stats.max_depth = stats.max_depth.max(cols.len());
+                    stats.count_node(cols.len());
                     observer.node_entered(&cols, genes.len(), 0);
                     let mut kept_whole = false;
                     // `c` indexes every gene's key row, not one slice, so

@@ -33,13 +33,15 @@ cargo test -q -p regcluster-cluster --lib coordinator
 cargo test -q -p regcluster-core --test fault --test checkpoint
 cargo test -q -p regcluster-cli --test binary -- failpoints_env interrupted_mine
 
-echo "==> hot path exactness (ε-cell filter and lane oracles, emit-every-key regressions, non-finite window scan, hotpath gate, zero-alloc)"
+echo "==> hot path exactness (ε-cell filter and lane oracles, emit-every-key regressions, non-finite window scan, hotpath gate, zero-alloc, event ≡ counter oracle, metric snapshot pin)"
 cargo test -q --release -p regcluster-core --test properties -- hot_keys mining_infinite_h_scores_terminates
 cargo test -q --release -p regcluster-core --lib coherence
 cargo test -q --release -p regcluster-core --lib -- lanes_equal_the_brute_force_scan backward_ranges_over_non_candidates
 cargo test -q --release -p regcluster-bench --bin hotpath
 # Release build: the alloc suite bounds the engine path users run.
 cargo test -q --release --test alloc
+cargo test -q --release -p regcluster-core --test engine -- event_stream_replays_to_the_report_counters engine_stats_match_sequential
+cargo test -q --release -p regcluster-cli --test metric_snapshot
 
 echo "==> serve smoke (concurrent clients, overload shedding, graceful shutdown, HTTP server and parser fuzz, JSON bytes against the tree-emitter oracle, top=k against a full sort, serializer allocation bound)"
 cargo test -q -p regcluster-cli --test serve_smoke

@@ -178,8 +178,8 @@ fn warmed_zero_emission_run_allocates_nothing_synthetic() {
 fn warmed_zero_emission_run_with_metrics_observer_allocates_nothing() {
     // The telemetry observer must be free to leave attached in production:
     // its pre-registered counter/histogram handles are plain atomic cells,
-    // so recording every node, prune and depth observation adds zero
-    // allocations to the steady state.
+    // so recording the run's node, prune and depth counts when it returns
+    // (as `regcluster mine` does) adds zero allocations.
     let m = synthetic_100x30();
     let params = MiningParams::new(4, 8, 0.1, 0.05).unwrap();
     let miner = Miner::new(&m, &params).expect("valid mining input");
@@ -192,7 +192,9 @@ fn warmed_zero_emission_run_with_metrics_observer_allocates_nothing() {
     );
     let (allocs, report) = count_allocs(|| {
         let request = MineRequest::new(&miner).observer(&observer);
-        request.collect().expect("run completes").0
+        let report = request.collect().expect("run completes").0;
+        observer.record_run(&report.stats);
+        report
     });
     drop(report);
     let nodes_recorded = nodes_handle.get();

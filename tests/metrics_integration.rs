@@ -1,52 +1,113 @@
-//! Cross-checks the telemetry observer against the engine's own
-//! accounting: the registry counters a `MetricsObserver` accumulates must
-//! agree with `MiningStats` for the same run, and the rule-2 (`min_conds`)
-//! counter — which `MiningStats` deliberately does not carry — must fire
-//! on a workload whose chains die of unreachable MinC.
+//! Cross-checks the registry instruments against an independent source,
+//! the event stream. A `MetricsObserver` is filled from a run's merged
+//! `MiningStats` (nodes, prunes, depths) and from each emission; a
+//! `TraceObserver` records the same run's events. The two must agree,
+//! including the rule-2 (`min_conds`) counter on a workload whose chains
+//! die of unreachable MinC.
 
-use regcluster_core::{mine_with_observer, MetricsObserver, MiningParams, MiningStats};
+use regcluster_core::metrics::{MINE_EMITTED_METRIC, MINE_NODES_METRIC, MINE_PRUNED_METRIC};
+use regcluster_core::{
+    mine, MetricsObserver, MineRequest, Miner, MiningParams, PruneRule, RegCluster,
+    SyncMineObserver, TraceObserver,
+};
 use regcluster_datagen::running_example;
+use regcluster_matrix::{CondId, ExpressionMatrix};
 use regcluster_obs::MetricsRegistry;
 
 const NODES_HELP: &str = "Enumeration-tree nodes entered (partial representative chains expanded).";
 const EMITTED_HELP: &str = "Validated reg-clusters emitted by the enumeration.";
 const PRUNED_HELP: &str = "Subtrees cut by each pruning strategy of the paper's section 4.";
 
+/// Reports every event to a metrics observer and to a trace.
+struct Both<'a>(&'a MetricsObserver, &'a TraceObserver);
+
+impl SyncMineObserver for Both<'_> {
+    fn node_entered(&self, chain: &[CondId], n_p: usize, n_n: usize) {
+        self.1.node_entered(chain, n_p, n_n);
+    }
+    fn pruned(&self, chain: &[CondId], rule: PruneRule) {
+        self.1.pruned(chain, rule);
+    }
+    fn cluster_emitted(&self, cluster: &RegCluster) {
+        self.0.cluster_emitted(cluster);
+        self.1.cluster_emitted(cluster);
+    }
+}
+
+/// Mines `m` at `threads` workers as `regcluster mine` does: the metrics
+/// observer attached, the run's stats recorded when it returns. Returns
+/// the filled registry, the run's trace and its clusters.
+fn mine_observed(
+    m: &ExpressionMatrix,
+    params: &MiningParams,
+    threads: usize,
+) -> (MetricsRegistry, TraceObserver, Vec<RegCluster>) {
+    let registry = MetricsRegistry::new();
+    let metrics = MetricsObserver::register(&registry);
+    let trace = TraceObserver::default();
+    let miner = Miner::new(m, params).unwrap();
+    let request = MineRequest::new(&miner).threads(threads);
+    let (report, _) = request.observer(&Both(&metrics, &trace)).collect().unwrap();
+    metrics.record_run(&report.stats);
+    (registry, trace, report.clusters)
+}
+
+fn pruned(registry: &MetricsRegistry, rule: PruneRule) -> u64 {
+    let labels = [("rule", rule.as_label())];
+    registry
+        .counter(MINE_PRUNED_METRIC, PRUNED_HELP, &labels)
+        .get()
+}
+
 #[test]
 fn metrics_observer_agrees_with_mining_stats() {
     let m = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-
-    let mut stats = MiningStats::default();
-    let from_stats = mine_with_observer(&m, &params, &mut stats).unwrap();
-
-    let registry = MetricsRegistry::new();
-    let mut observer = MetricsObserver::register(&registry);
-    let from_metrics = mine_with_observer(&m, &params, &mut observer).unwrap();
-    assert_eq!(from_stats, from_metrics);
+    let (registry, trace, clusters) = mine_observed(&m, &params, 2);
+    assert_eq!(clusters, mine(&m, &params).unwrap());
 
     let counter = |name: &str, help: &str| registry.counter(name, help, &[]).get();
-    let rule = |label: &str| {
-        registry
-            .counter(
-                regcluster_core::metrics::MINE_PRUNED_METRIC,
-                PRUNED_HELP,
-                &[("rule", label)],
-            )
-            .get()
-    };
+    let depths: Vec<usize> = trace.nodes().iter().map(Vec::len).collect();
+    assert_eq!(counter(MINE_NODES_METRIC, NODES_HELP), depths.len() as u64);
     assert_eq!(
-        counter(regcluster_core::metrics::MINE_NODES_METRIC, NODES_HELP),
-        stats.nodes as u64
+        counter(MINE_EMITTED_METRIC, EMITTED_HELP),
+        trace.n_emitted() as u64
     );
-    assert_eq!(
-        counter(regcluster_core::metrics::MINE_EMITTED_METRIC, EMITTED_HELP),
-        stats.emitted as u64
+    for rule in PruneRule::ALL {
+        assert_eq!(
+            pruned(&registry, rule),
+            trace.pruned_by(rule).len() as u64,
+            "{rule:?}"
+        );
+    }
+
+    // The depth histogram: every cumulative bucket, the count and the sum.
+    let text = registry.encode_prometheus();
+    let mut buckets = 0;
+    for line in text.lines() {
+        let Some(rest) = line.strip_prefix("regcluster_mine_node_depth_bucket{le=\"") else {
+            continue;
+        };
+        let (le, count) = rest.split_once("\"} ").unwrap();
+        let le: f64 = if le == "+Inf" {
+            f64::INFINITY
+        } else {
+            le.parse().unwrap()
+        };
+        let want = depths.iter().filter(|&&d| d as f64 <= le).count();
+        assert_eq!(count, want.to_string(), "bucket le={le}");
+        buckets += 1;
+    }
+    assert!(buckets > 1, "{text}");
+    let sum: usize = depths.iter().sum();
+    assert!(text.contains(&format!(
+        "regcluster_mine_node_depth_count {}\n",
+        depths.len()
+    )));
+    assert!(
+        text.contains(&format!("regcluster_mine_node_depth_sum {sum}\n")),
+        "{text}"
     );
-    assert_eq!(rule("min_genes"), stats.pruned_min_genes as u64);
-    assert_eq!(rule("few_p_members"), stats.pruned_few_p as u64);
-    assert_eq!(rule("duplicate"), stats.pruned_duplicate as u64);
-    assert_eq!(rule("coherence"), stats.pruned_coherence as u64);
 }
 
 #[test]
@@ -56,20 +117,13 @@ fn min_conds_pruning_is_observable() {
     // short of MinC, which is exactly the rule-2 subtree cut.
     let m = running_example();
     let params = MiningParams::new(3, 6, 0.15, 0.1).unwrap();
-    let registry = MetricsRegistry::new();
-    let mut observer = MetricsObserver::register(&registry);
-    let clusters = mine_with_observer(&m, &params, &mut observer).unwrap();
+    let (registry, trace, clusters) = mine_observed(&m, &params, 1);
     assert!(clusters.is_empty(), "MinC = 6 must starve the search");
 
-    let min_conds = registry
-        .counter(
-            regcluster_core::metrics::MINE_PRUNED_METRIC,
-            PRUNED_HELP,
-            &[("rule", "min_conds")],
-        )
-        .get();
+    let min_conds = pruned(&registry, PruneRule::MinConds);
     assert!(
         min_conds > 0,
         "rule-2 cuts must be visible on a MinC-starved run"
     );
+    assert_eq!(min_conds, trace.pruned_by(PruneRule::MinConds).len() as u64);
 }
